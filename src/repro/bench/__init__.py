@@ -1,6 +1,5 @@
-"""Benchmark harness helpers: timing and table rendering."""
+"""Benchmark harness helpers: table rendering."""
 
 from .tables import format_table
-from .timing import Timer, measure, speedup
 
-__all__ = ["format_table", "Timer", "measure", "speedup"]
+__all__ = ["format_table"]

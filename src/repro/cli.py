@@ -544,10 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "source (or MODEL when it is a .py file or "
                            "a directory)")
     lint.add_argument("--shapes", action="store_true",
-                      help="run the symbolic shape/dtype and backend-"
-                           "conformance analyzer (SHP0xx/BKD0xx) over "
-                           "the package source (or MODEL when it is a "
-                           ".py file or a directory)")
+                      help="run the symbolic shape/dtype analyzer "
+                           "(SHP0xx) over the package source (or MODEL "
+                           "when it is a .py file or a directory)")
     lint.add_argument("--conc", action="store_true",
                       help="run the concurrency-safety analyzer "
                            "(CNC0xx: async/thread/process boundary "

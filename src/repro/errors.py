@@ -60,12 +60,6 @@ class LintGateError(LintError):
         self.report = report
 
 
-class BackendError(ReproError):
-    """An array backend does not satisfy the substrate protocol —
-    required ops are missing — or a backend was requested under an
-    unknown name (see :mod:`repro.backend`)."""
-
-
 class ResilienceError(ReproError):
     """A resilience component (retry policy, fault plan, campaign
     checkpoint, shard-executor configuration) is misconfigured, or a

@@ -16,7 +16,9 @@ original's per-thread sequential bookkeeping.
 
 from __future__ import annotations
 
-from ..backend import Array, xp
+import numpy as np
+
+from ..backend import xp
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
 from ..solvers.bdf import (ALPHA, ERROR_CONST, GAMMA, MAX_ORDER,
                            NEWTON_MAXITER, change_difference_array)
@@ -41,15 +43,15 @@ class BatchBDF:
         self.max_order = max_order
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None,
-              initial_states: Array | None = None) -> BatchSolveResult:
+              t_eval: np.ndarray | None = None,
+              initial_states: np.ndarray | None = None) -> BatchSolveResult:
         options = self.options
         t_eval = validate_time_grid(t_span, t_eval)
         t0, t1 = float(t_span[0]), float(t_span[1])
         batch = problem.batch_size
         n = problem.n_species
-        identity = xp.eye(n)
-        newton_tol = max(10 * xp.finfo(float).eps / options.rtol,
+        identity = np.eye(n)
+        newton_tol = max(10 * np.finfo(float).eps / options.rtol,
                          min(0.03, options.rtol ** 0.5))
         tracer = problem.tracer or NULL_TRACER
         compile_span = tracer.start("compile", "phase",
@@ -57,35 +59,35 @@ class BatchBDF:
                                     solver=self.name, rows=batch)
 
         states = (problem.initial_states() if initial_states is None
-                  else xp.array(initial_states, dtype=xp.float64))
+                  else np.array(initial_states, dtype=np.float64))
         result = allocate_result(t_eval, batch, n, self.method_code)
         result.counters = problem.counters
 
-        times = xp.full(batch, t0)
-        save_index = xp.zeros(batch, dtype=xp.int64)
+        times = np.full(batch, t0)
+        save_index = np.zeros(batch, dtype=np.int64)
         if t_eval[0] == t0:
             result.y[:, 0, :] = states
             save_index[:] = 1
 
-        all_rows = xp.arange(batch)
+        all_rows = np.arange(batch)
         derivatives = problem.fun(times, states, all_rows)
         if options.first_step is not None:
-            steps = xp.full(batch, options.first_step)
+            steps = np.full(batch, options.first_step)
         else:
             steps = _initial_steps(problem, t0, states, derivatives, 1,
                                    options, t1 - t0)
         max_step = min(options.max_step, t1 - t0)
 
-        differences = xp.zeros((batch, MAX_ORDER + 3, n))
+        differences = np.zeros((batch, MAX_ORDER + 3, n))
         differences[:, 0, :] = states
         differences[:, 1, :] = derivatives * steps[:, None]
-        orders = xp.ones(batch, dtype=xp.int64)
-        steps_at_order = xp.zeros(batch, dtype=xp.int64)
+        orders = np.ones(batch, dtype=np.int64)
+        steps_at_order = np.zeros(batch, dtype=np.int64)
 
         jacobians = problem.jacobian(times, states, all_rows)
-        jac_current = xp.ones(batch, dtype=bool)
-        inverses = xp.zeros((batch, n, n))
-        c_factored = xp.full(batch, -1.0)
+        jac_current = np.ones(batch, dtype=bool)
+        inverses = np.zeros((batch, n, n))
+        c_factored = np.full(batch, -1.0)
 
         status = result.status_codes
         status[save_index >= t_eval.size] = OK
@@ -95,13 +97,13 @@ class BatchBDF:
                                  solver=self.name)
 
         while True:
-            active = xp.flatnonzero(status == RUNNING)
+            active = np.flatnonzero(status == RUNNING)
             if active.size == 0:
                 break
             exhausted = active[result.n_steps[active] >= options.max_steps]
             if exhausted.size:
                 status[exhausted] = EXHAUSTED
-                active = xp.flatnonzero(status == RUNNING)
+                active = np.flatnonzero(status == RUNNING)
                 if active.size == 0:
                     break
 
@@ -110,9 +112,9 @@ class BatchBDF:
             # state there (the drift is below the solver tolerance).
             behind = active[
                 (save_index[active] < t_eval.size)
-                & (t_eval[xp.minimum(save_index[active], t_eval.size - 1)]
-                   < times[active] - _EDGE * xp.maximum(
-                       1.0, xp.abs(times[active])))]
+                & (t_eval[np.minimum(save_index[active], t_eval.size - 1)]
+                   < times[active] - _EDGE * np.maximum(
+                       1.0, np.abs(times[active])))]
             # lint: skip=KRN001 -- rare FP-drift repair on a handful of rows
             for row in behind:
                 result.y[row, save_index[row], :] = differences[row, 0, :]
@@ -120,21 +122,21 @@ class BatchBDF:
                 if save_index[row] >= t_eval.size:
                     status[row] = OK
             if behind.size:
-                active = xp.flatnonzero(status == RUNNING)
+                active = np.flatnonzero(status == RUNNING)
                 if active.size == 0:
                     continue
 
             # Clip to the horizon and the next save point (per-sim D
             # rescale for real step changes).
             t_act = times[active]
-            limit = xp.minimum(t1, t_eval[xp.minimum(save_index[active],
+            limit = np.minimum(t1, t_eval[np.minimum(save_index[active],
                                                      t_eval.size - 1)])
             target = limit - t_act
             needs_clip = steps[active] > target * (1.0 + 1e-12)
             # Each row clips by a different factor and the difference-
             # table rescale is order-local, so this stays per-row.
             # lint: skip=KRN001 -- per-row D rescale, scalar by design
-            for local in xp.flatnonzero(needs_clip):
+            for local in np.flatnonzero(needs_clip):
                 row = active[local]
                 factor = target[local] / steps[row]
                 if factor <= 0.0:
@@ -144,9 +146,9 @@ class BatchBDF:
                                         factor)
                 steps[row] = target[local]
                 steps_at_order[row] = 0
-            underflow = (steps[active] <= xp.abs(t_act) * 1e-15) | \
-                (steps[active] < 1e-300) | ~xp.isfinite(steps[active])
-            if xp.any(underflow):
+            underflow = (steps[active] <= np.abs(t_act) * 1e-15) | \
+                (steps[active] < 1e-300) | ~np.isfinite(steps[active])
+            if np.any(underflow):
                 dead = active[underflow]
                 status[dead] = BROKEN
                 if problem.guard is not None:
@@ -190,12 +192,12 @@ class BatchBDF:
         t_new = times[rows] + h
         d_group = differences[rows]
         y_predict = d_group[:, :order + 1, :].sum(axis=1)
-        psi = xp.einsum("bon,o->bn", d_group[:, 1:order + 1, :],
+        psi = np.einsum("bon,o->bn", d_group[:, 1:order + 1, :],
                         GAMMA[1:order + 1]) / ALPHA[order]
         c = h / ALPHA[order]
 
         refactor = c_factored[rows] != c
-        if xp.any(refactor):
+        if np.any(refactor):
             ref_rows = rows[refactor]
             matrices = identity[None] - c[refactor, None, None] \
                 * jacobians[ref_rows]
@@ -207,7 +209,7 @@ class BatchBDF:
             problem, rows, t_new, y_predict, c, psi, inverses, newton_tol)
 
         failed = ~converged
-        if xp.any(failed):
+        if np.any(failed):
             failed_rows = rows[failed]
             stale = failed_rows[~jac_current[failed_rows]]
             if stale.size:
@@ -216,7 +218,7 @@ class BatchBDF:
                                                     stale)
                 jac_current[stale] = True
                 c_factored[stale] = -1.0
-            fresh = xp.setdiff1d(failed_rows, stale, assume_unique=True)
+            fresh = np.setdiff1d(failed_rows, stale, assume_unique=True)
             # lint: skip=KRN001 -- Newton-failure fallback on a small subset
             for row in fresh:
                 change_difference_array(differences[row], order, 0.5)
@@ -224,7 +226,7 @@ class BatchBDF:
                 steps_at_order[row] = 0
                 c_factored[row] = -1.0
             result.n_rejected[failed_rows] += 1
-        if not xp.any(converged):
+        if not np.any(converged):
             return
 
         conv_rows = rows[converged]
@@ -235,19 +237,19 @@ class BatchBDF:
         y_old = differences[conv_rows, 0, :]
         error = ERROR_CONST[order] * correction
         err = _scaled_error_norms(error, y_old, y_new, options)
-        finite = xp.all(xp.isfinite(y_new), axis=1)
-        err = xp.where(finite, err, xp.inf)
+        finite = np.all(np.isfinite(y_new), axis=1)
+        err = np.where(finite, err, np.inf)
         safety = 0.9 * (2 * NEWTON_MAXITER + 1) / \
             (2 * NEWTON_MAXITER + n_iter)
 
         rejected = err >= 1.0
-        if xp.any(rejected):
+        if np.any(rejected):
             rej_rows = conv_rows[rejected]
             result.n_rejected[rej_rows] += 1
             # lint: skip=KRN001 -- rejected rows shrink by per-row factors
-            for local, row in zip(xp.flatnonzero(rejected), rej_rows):
+            for local, row in zip(np.flatnonzero(rejected), rej_rows):
                 factor = options.min_step_factor
-                if xp.isfinite(err[local]) and err[local] > 0:
+                if np.isfinite(err[local]) and err[local] > 0:
                     factor = max(options.min_step_factor,
                                  safety[local]
                                  * err[local] ** (-1.0 / (order + 1)))
@@ -257,7 +259,7 @@ class BatchBDF:
                 c_factored[row] = -1.0
 
         accepted = ~rejected
-        if not xp.any(accepted):
+        if not np.any(accepted):
             return
         acc_rows = conv_rows[accepted]
         result.n_accepted[acc_rows] += 1
@@ -280,9 +282,9 @@ class BatchBDF:
                                        problem.row_ids[acc_rows],
                                        times[acc_rows], status)
 
-        tolerance = 1e-9 * xp.maximum(1.0, xp.abs(times[acc_rows]))
-        hits = acc_rows[xp.abs(times[acc_rows]
-                               - t_eval[xp.minimum(save_index[acc_rows],
+        tolerance = 1e-9 * np.maximum(1.0, np.abs(times[acc_rows]))
+        hits = acc_rows[np.abs(times[acc_rows]
+                               - t_eval[np.minimum(save_index[acc_rows],
                                                    t_eval.size - 1)])
                         <= tolerance]
         hit_valid = hits[save_index[hits] < t_eval.size]
@@ -297,7 +299,7 @@ class BatchBDF:
         adapt = acc_rows[steps_at_order[acc_rows] >= order + 1]
         # lint: skip=KRN002 -- scalar map feeding the per-row order change
         err_by_row = {int(row): float(err[local])
-                      for local, row in zip(xp.flatnonzero(accepted),
+                      for local, row in zip(np.flatnonzero(accepted),
                                             acc_rows)}
         # Order adaptation is per-row by construction: rows sit at
         # different BDF orders, so their difference tables have
@@ -313,21 +315,21 @@ class BatchBDF:
         options = self.options
         b = rows.size
         y = y_predict.copy()
-        correction = xp.zeros_like(y)
-        scale = options.atol + options.rtol * xp.abs(y_predict)
-        converged = xp.zeros(b, dtype=bool)
-        failed = xp.zeros(b, dtype=bool)
-        n_iterations = xp.zeros(b, dtype=xp.int64)
-        previous = xp.full(b, -1.0)
+        correction = np.zeros_like(y)
+        scale = options.atol + options.rtol * np.abs(y_predict)
+        converged = np.zeros(b, dtype=bool)
+        failed = np.zeros(b, dtype=bool)
+        n_iterations = np.zeros(b, dtype=np.int64)
+        previous = np.full(b, -1.0)
         for _ in range(NEWTON_MAXITER):
-            work = xp.flatnonzero(~converged & ~failed)
+            work = np.flatnonzero(~converged & ~failed)
             if work.size == 0:
                 break
             n_iterations[work] += 1
             problem.counters.newton_iterations += work.size
             f = problem.fun(t_new[work], y[work], rows[work])
-            bad = ~xp.all(xp.isfinite(f), axis=1)
-            if xp.any(bad):
+            bad = ~np.all(np.isfinite(f), axis=1)
+            if np.any(bad):
                 failed[work[bad]] = True
                 work = work[~bad]
                 if work.size == 0:
@@ -335,13 +337,13 @@ class BatchBDF:
                 f = f[~bad]
             residual = c[work, None] * f - psi[work] - correction[work]
             delta = xp.batched_matvec(inverses[rows[work]], residual)
-            norms = xp.sqrt(xp.mean((delta / scale[work]) ** 2, axis=1))
+            norms = np.sqrt(np.mean((delta / scale[work]) ** 2, axis=1))
             have_prev = previous[work] > 0
-            with xp.errstate(divide="ignore", invalid="ignore",
+            with np.errstate(divide="ignore", invalid="ignore",
                              over="ignore"):
-                rate = xp.where(have_prev,
-                                norms / xp.maximum(previous[work], 1e-300),
-                                xp.nan)
+                rate = np.where(have_prev,
+                                norms / np.maximum(previous[work], 1e-300),
+                                np.nan)
                 hopeless = have_prev & ((rate >= 1.0)
                                         | (rate / (1 - rate) * norms > tol))
             failed[work[hopeless]] = True
@@ -353,11 +355,11 @@ class BatchBDF:
             norms = norms[keep]
             y[work] += delta
             correction[work] += delta
-            with xp.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 done = (norms == 0.0) | (
                     (previous[work] > 0)
-                    & ((norms / xp.maximum(previous[work], 1e-300))
-                       / (1 - xp.minimum(norms / xp.maximum(previous[work],
+                    & ((norms / np.maximum(previous[work], 1e-300))
+                       / (1 - np.minimum(norms / np.maximum(previous[work],
                                                             1e-300),
                                          0.999)) * norms < tol))
             converged[work[done]] = True
@@ -368,10 +370,10 @@ class BatchBDF:
                      steps_at_order, c_factored, current_err, options,
                      max_step) -> None:
         scale = options.atol + options.rtol * \
-            xp.abs(differences[row, 0, :])
+            np.abs(differences[row, 0, :])
 
         def norm_of(vector):
-            return float(xp.sqrt(xp.mean((vector / scale) ** 2)))
+            return float(np.sqrt(np.mean((vector / scale) ** 2)))
 
         candidates = [order]
         norms = [max(current_err, 1e-10)]
@@ -387,9 +389,9 @@ class BatchBDF:
                              1e-10))
         factors = [norms[i] ** (-1.0 / (candidates[i] + 1))
                    for i in range(len(candidates))]
-        best = int(xp.argmax(factors))
+        best = int(np.argmax(factors))
         new_order = candidates[best]
-        factor = float(xp.clip(0.9 * factors[best],
+        factor = float(np.clip(0.9 * factors[best],
                                options.min_step_factor,
                                options.max_step_factor))
         orders[row] = new_order

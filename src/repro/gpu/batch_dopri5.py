@@ -13,7 +13,8 @@ family record dynamics without dense output.
 
 from __future__ import annotations
 
-from ..backend import Array, xp
+import numpy as np
+
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
 from ..solvers.tableaus import DOPRI5
 from ..telemetry.tracer import NULL_TRACER
@@ -28,11 +29,11 @@ _STIFFNESS_BOUNDARY = 3.25
 _STIFFNESS_PATIENCE = 15
 
 
-def _combine_stages(weights: Array, stages: Array) -> Array:
+def _combine_stages(weights: np.ndarray, stages: np.ndarray) -> np.ndarray:
     """Weighted stage sum with per-row rounding independent of how many
     rows are in flight.
 
-    ``xp.tensordot`` lowers to a BLAS product whose row results can
+    ``np.tensordot`` lowers to a BLAS product whose row results can
     change with the array width; this element-wise accumulation keeps
     split launches bit-identical to unsplit ones.
     """
@@ -42,33 +43,33 @@ def _combine_stages(weights: Array, stages: Array) -> Array:
     return combined
 
 
-def _scaled_error_norms(error: Array, reference: Array,
-                        candidate: Array,
-                        options: SolverOptions) -> Array:
-    scale = options.atol + options.rtol * xp.maximum(xp.abs(reference),
-                                                     xp.abs(candidate))
-    return xp.sqrt(xp.mean((error / scale) ** 2, axis=1))
+def _scaled_error_norms(error: np.ndarray, reference: np.ndarray,
+                        candidate: np.ndarray,
+                        options: SolverOptions) -> np.ndarray:
+    scale = options.atol + options.rtol * np.maximum(np.abs(reference),
+                                                     np.abs(candidate))
+    return np.sqrt(np.mean((error / scale) ** 2, axis=1))
 
 
-def _initial_steps(problem: BatchedODEProblem, t0: float, states: Array,
-                   derivatives: Array, order: int,
-                   options: SolverOptions, span: float) -> Array:
+def _initial_steps(problem: BatchedODEProblem, t0: float, states: np.ndarray,
+                   derivatives: np.ndarray, order: int,
+                   options: SolverOptions, span: float) -> np.ndarray:
     """Vectorized Hairer starting-step heuristic (one extra kernel)."""
-    rows = xp.arange(states.shape[0])
-    scale = options.atol + xp.abs(states) * options.rtol
-    d0 = xp.sqrt(xp.mean((states / scale) ** 2, axis=1))
-    d1 = xp.sqrt(xp.mean((derivatives / scale) ** 2, axis=1))
-    h0 = xp.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / (d1 + 1e-300))
+    rows = np.arange(states.shape[0])
+    scale = options.atol + np.abs(states) * options.rtol
+    d0 = np.sqrt(np.mean((states / scale) ** 2, axis=1))
+    d1 = np.sqrt(np.mean((derivatives / scale) ** 2, axis=1))
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / (d1 + 1e-300))
     probe = states + h0[:, None] * derivatives
-    f1 = problem.fun(xp.full(states.shape[0], t0) + h0, probe, rows)
-    d2 = xp.sqrt(xp.mean(((f1 - derivatives) / scale) ** 2, axis=1)) / h0
-    dmax = xp.maximum(d1, d2)
-    h1 = xp.where(dmax <= 1e-15, xp.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / xp.maximum(dmax, 1e-300)) ** (1.0 / (order + 1)))
+    f1 = problem.fun(np.full(states.shape[0], t0) + h0, probe, rows)
+    d2 = np.sqrt(np.mean(((f1 - derivatives) / scale) ** 2, axis=1)) / h0
+    dmax = np.maximum(d1, d2)
+    h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(dmax, 1e-300)) ** (1.0 / (order + 1)))
     # Pairwise minimum in fixed order: bit-identical to the former
     # minimum.reduce over the same three operands.
-    cap = xp.full_like(h0, min(options.max_step, span))
-    return xp.minimum(xp.minimum(100.0 * h0, h1), cap)
+    cap = np.full_like(h0, min(options.max_step, span))
+    return np.minimum(np.minimum(100.0 * h0, h1), cap)
 
 
 class BatchDopri5:
@@ -92,8 +93,8 @@ class BatchDopri5:
         self.abort_on_stiffness = abort_on_stiffness
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None,
-              initial_states: Array | None = None) -> BatchSolveResult:
+              t_eval: np.ndarray | None = None,
+              initial_states: np.ndarray | None = None) -> BatchSolveResult:
         options = self.options
         tableau = DOPRI5
         t_eval = validate_time_grid(t_span, t_eval)
@@ -106,29 +107,29 @@ class BatchDopri5:
                                     solver=self.name, rows=batch)
 
         states = (problem.initial_states() if initial_states is None
-                  else xp.array(initial_states, dtype=xp.float64))
+                  else np.array(initial_states, dtype=np.float64))
         result = allocate_result(t_eval, batch, n, self.method_code)
         result.counters = problem.counters
 
-        times = xp.full(batch, t0)
-        save_index = xp.zeros(batch, dtype=xp.int64)
+        times = np.full(batch, t0)
+        save_index = np.zeros(batch, dtype=np.int64)
         if t_eval[0] == t0:
             result.y[:, 0, :] = states
             save_index[:] = 1
 
-        all_rows = xp.arange(batch)
+        all_rows = np.arange(batch)
         derivatives = problem.fun(times, states, all_rows)
         if options.first_step is not None:
-            steps = xp.full(batch, options.first_step)
+            steps = np.full(batch, options.first_step)
         else:
             steps = _initial_steps(problem, t0, states, derivatives,
                                    tableau.order, options, t1 - t0)
-        previous_errors = xp.full(batch, -1.0)  # <0: no PI memory yet
+        previous_errors = np.full(batch, -1.0)  # <0: no PI memory yet
         error_exponent = -1.0 / (tableau.error_order + 1)
         max_step = min(options.max_step, t1 - t0)
         status = result.status_codes
-        stiffness_strikes = xp.zeros(batch, dtype=xp.int64)
-        nonstiff_streak = xp.zeros(batch, dtype=xp.int64)
+        stiffness_strikes = np.zeros(batch, dtype=np.int64)
+        nonstiff_streak = np.zeros(batch, dtype=np.int64)
 
         # Simulations whose whole grid is already recorded.
         status[save_index >= t_eval.size] = OK
@@ -138,28 +139,28 @@ class BatchDopri5:
                                  solver=self.name)
 
         while True:
-            active = xp.flatnonzero(status == RUNNING)
+            active = np.flatnonzero(status == RUNNING)
             if active.size == 0:
                 break
             exhausted = active[result.n_steps[active] >= options.max_steps]
             if exhausted.size:
                 status[exhausted] = EXHAUSTED
-                active = xp.flatnonzero(status == RUNNING)
+                active = np.flatnonzero(status == RUNNING)
                 if active.size == 0:
                     break
 
             t_act = times[active]
-            h_act = xp.minimum(steps[active], t1 - t_act)
-            next_save = t_eval[xp.minimum(save_index[active],
+            h_act = np.minimum(steps[active], t1 - t_act)
+            next_save = t_eval[np.minimum(save_index[active],
                                           t_eval.size - 1)]
-            hit = t_act + h_act >= next_save - _EDGE * xp.maximum(
-                1.0, xp.abs(next_save))
-            h_act = xp.where(hit, next_save - t_act, h_act)
+            hit = t_act + h_act >= next_save - _EDGE * np.maximum(
+                1.0, np.abs(next_save))
+            h_act = np.where(hit, next_save - t_act, h_act)
 
             # Non-finite steps (a NaN RHS poisoned the step heuristic or
             # controller) can never recover — break those rows at once.
-            broken_step = ~xp.isfinite(h_act) | \
-                (h_act <= xp.abs(t_act) * 1e-15)
+            broken_step = ~np.isfinite(h_act) | \
+                (h_act <= np.abs(t_act) * 1e-15)
             dead = active[broken_step]
             if dead.size:
                 status[dead] = BROKEN
@@ -175,12 +176,12 @@ class BatchDopri5:
 
             result.n_steps[active] += 1
             y_act = states[active]
-            stage_k = xp.empty((tableau.n_stages, active.size, n))
+            stage_k = np.empty((tableau.n_stages, active.size, n))
             stage_k[0] = derivatives[active]
             penultimate_states = None
             # Diverging rows overflow transiently before they are caught
             # by the finiteness check; keep those FP warnings quiet.
-            with xp.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(1, tableau.n_stages):
                     increment = _combine_stages(tableau.a[i, :i],
                                                 stage_k[:i])
@@ -197,8 +198,8 @@ class BatchDopri5:
                     tableau.e, stage_k)
                 err = _scaled_error_norms(local_error, y_act, y_new,
                                           options)
-            finite = xp.all(xp.isfinite(y_new), axis=1)
-            err = xp.where(finite, err, xp.inf)
+            finite = np.all(np.isfinite(y_new), axis=1)
+            err = np.where(finite, err, np.inf)
 
             accepted = err <= 1.0
             acc_rows = active[accepted]
@@ -224,7 +225,7 @@ class BatchDopri5:
                         penultimate_states, stage_k, status,
                         stiffness_strikes, nonstiff_streak)
 
-                hits = xp.flatnonzero(accepted & hit)
+                hits = np.flatnonzero(accepted & hit)
                 if hits.size:
                     # Save from `states` (possibly guard-clamped), and
                     # only for rows the guard left running.
@@ -235,26 +236,26 @@ class BatchDopri5:
                     save_index[hit_rows] += 1
                     status[hit_rows[save_index[hit_rows] >= t_eval.size]] = OK
 
-                err_acc = xp.maximum(err[accepted], 1e-10)
+                err_acc = np.maximum(err[accepted], 1e-10)
                 factor = options.safety * err_acc ** error_exponent
                 if self.use_pi_controller:
                     memory = previous_errors[acc_rows]
                     has_memory = memory > 0.0
-                    pi_scale = xp.where(
+                    pi_scale = np.where(
                         has_memory,
-                        (xp.maximum(memory, 1e-10) / err_acc) ** 0.04, 1.0)
+                        (np.maximum(memory, 1e-10) / err_acc) ** 0.04, 1.0)
                     factor *= pi_scale
-                factor = xp.clip(factor, options.min_step_factor,
+                factor = np.clip(factor, options.min_step_factor,
                                  options.max_step_factor)
                 previous_errors[acc_rows] = err_acc
-                steps[acc_rows] = xp.minimum(h_act[accepted] * factor,
+                steps[acc_rows] = np.minimum(h_act[accepted] * factor,
                                              max_step)
 
             if rej_rows.size:
                 err_rej = err[~accepted]
-                shrink = xp.where(
-                    xp.isfinite(err_rej),
-                    xp.maximum(options.min_step_factor,
+                shrink = np.where(
+                    np.isfinite(err_rej),
+                    np.maximum(options.min_step_factor,
                                options.safety * err_rej ** error_exponent),
                     options.min_step_factor)
                 steps[rej_rows] = h_act[~accepted] * shrink
@@ -278,16 +279,16 @@ class BatchDopri5:
         boundary flag the simulation as stiff and deactivate it (unless
         it already finished).
         """
-        with xp.errstate(over="ignore", invalid="ignore",
+        with np.errstate(over="ignore", invalid="ignore",
                          divide="ignore"):
-            numerator = xp.sum(
+            numerator = np.sum(
                 (stage_k[-1, accepted] - stage_k[-2, accepted]) ** 2,
                 axis=1)
-            denominator = xp.sum(
+            denominator = np.sum(
                 (y_new[accepted] - penultimate_states[accepted]) ** 2,
                 axis=1)
-            valid = (denominator > 0.0) & xp.isfinite(denominator)
-            h_lambda = h_act[accepted] * xp.sqrt(numerator / denominator)
+            valid = (denominator > 0.0) & np.isfinite(denominator)
+            h_lambda = h_act[accepted] * np.sqrt(numerator / denominator)
         violated = valid & (h_lambda > _STIFFNESS_BOUNDARY)
         strikes[acc_rows[violated]] += 1
         nonstiff_streak[acc_rows[violated]] = 0

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..backend import Array, xp
+import numpy as np
+
 from .batched_ode import KernelCounters
 
 #: Per-simulation integer status codes.
@@ -60,13 +61,13 @@ class BatchSolveResult:
         Wall-clock of the integration (filled by the engine).
     """
 
-    t: Array
-    y: Array
-    status_codes: Array
-    method_codes: Array
-    n_steps: Array
-    n_accepted: Array
-    n_rejected: Array
+    t: np.ndarray
+    y: np.ndarray
+    status_codes: np.ndarray
+    method_codes: np.ndarray
+    n_steps: np.ndarray
+    n_accepted: np.ndarray
+    n_rejected: np.ndarray
     counters: KernelCounters = field(default_factory=KernelCounters)
     elapsed_seconds: float = 0.0
 
@@ -79,17 +80,17 @@ class BatchSolveResult:
         return self.y.shape[2]
 
     @property
-    def success_mask(self) -> Array:
+    def success_mask(self) -> np.ndarray:
         return self.status_codes == OK
 
     @property
-    def failed_mask(self) -> Array:
+    def failed_mask(self) -> np.ndarray:
         """Rows that did not finish (any status other than OK)."""
         return self.status_codes != OK
 
     @property
     def all_success(self) -> bool:
-        return bool(xp.all(self.status_codes == OK))
+        return bool(np.all(self.status_codes == OK))
 
     def statuses(self) -> list[str]:
         return [STATUS_NAMES[int(code)] for code in self.status_codes]
@@ -97,16 +98,16 @@ class BatchSolveResult:
     def methods(self) -> list[str]:
         return [METHOD_NAMES[int(code)] for code in self.method_codes]
 
-    def trajectory(self, index: int) -> Array:
+    def trajectory(self, index: int) -> np.ndarray:
         """One simulation's trajectory, shape (T, N)."""
         return self.y[index]
 
-    def final_states(self) -> Array:
+    def final_states(self) -> np.ndarray:
         """States at the last save time, shape (B, N)."""
         return self.y[:, -1, :]
 
     def merge_rows(self, other: "BatchSolveResult",
-                   rows: Array) -> None:
+                   rows: np.ndarray) -> None:
         """Overwrite the given rows with another result's rows.
 
         Used by the router and the retry ladder to splice per-method
@@ -128,7 +129,7 @@ class BatchSolveResult:
         if other.counters is not self.counters:
             self.counters.merge(other.counters)
 
-    def take_rows(self, rows: Array) -> "BatchSolveResult":
+    def take_rows(self, rows: np.ndarray) -> "BatchSolveResult":
         """Copy of a row subset (fresh, empty counter account)."""
         return BatchSolveResult(
             t=self.t.copy(),
@@ -142,15 +143,15 @@ class BatchSolveResult:
         )
 
 
-def allocate_result(t_eval: Array, batch_size: int, n_species: int,
+def allocate_result(t_eval: np.ndarray, batch_size: int, n_species: int,
                     method_code: int) -> BatchSolveResult:
     """Fresh result with NaN trajectories and 'running' statuses."""
     return BatchSolveResult(
         t=t_eval.copy(),
-        y=xp.full((batch_size, t_eval.size, n_species), xp.nan),
-        status_codes=xp.full(batch_size, RUNNING, dtype=xp.int64),
-        method_codes=xp.full(batch_size, method_code, dtype=xp.int64),
-        n_steps=xp.zeros(batch_size, dtype=xp.int64),
-        n_accepted=xp.zeros(batch_size, dtype=xp.int64),
-        n_rejected=xp.zeros(batch_size, dtype=xp.int64),
+        y=np.full((batch_size, t_eval.size, n_species), np.nan),
+        status_codes=np.full(batch_size, RUNNING, dtype=np.int64),
+        method_codes=np.full(batch_size, method_code, dtype=np.int64),
+        n_steps=np.zeros(batch_size, dtype=np.int64),
+        n_accepted=np.zeros(batch_size, dtype=np.int64),
+        n_rejected=np.zeros(batch_size, dtype=np.int64),
     )

@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..backend import Array, xp
+import numpy as np
+
 from ..errors import SolverError
 from ..model import ODESystem, ParameterizationBatch
 from ..model.odesystem import POLICIES
@@ -83,7 +84,7 @@ class BatchedODEProblem:
     policy: str = "hybrid"
     counters: KernelCounters = field(default_factory=KernelCounters)
     fault_plan: "FaultPlan | None" = None
-    row_ids: Array | None = None
+    row_ids: np.ndarray | None = None
     guard: "KernelGuard | None" = None
     tracer: "Tracer | None" = None
     trace_span: "SpanHandle | None" = None
@@ -93,9 +94,9 @@ class BatchedODEProblem:
             raise SolverError(f"unknown policy {self.policy!r}; "
                               f"expected one of {POLICIES}")
         if self.row_ids is None:
-            self.row_ids = xp.arange(self.parameters.size, dtype=xp.int64)
+            self.row_ids = np.arange(self.parameters.size, dtype=np.int64)
         else:
-            self.row_ids = xp.asarray(self.row_ids, dtype=xp.int64)
+            self.row_ids = np.asarray(self.row_ids, dtype=np.int64)
             if self.row_ids.shape != (self.parameters.size,):
                 raise SolverError(
                     f"row_ids shape {self.row_ids.shape} does not match "
@@ -117,11 +118,11 @@ class BatchedODEProblem:
     def n_species(self) -> int:
         return self.system.n_species
 
-    def initial_states(self) -> Array:
+    def initial_states(self) -> np.ndarray:
         return self.parameters.initial_states.copy()
 
-    def fun(self, times: Array, states: Array,
-            rows: Array) -> Array:
+    def fun(self, times: np.ndarray, states: np.ndarray,
+            rows: np.ndarray) -> np.ndarray:
         """Batched dX/dt for the simulations selected by ``rows``.
 
         ``times`` is accepted for interface uniformity; RBM dynamics are
@@ -136,15 +137,15 @@ class BatchedODEProblem:
             if self.fault_plan.injects_nan:
                 faulted = self.fault_plan.nan_mask(self.row_ids[rows])
                 if faulted.any():
-                    derivatives[faulted] = xp.nan
+                    derivatives[faulted] = np.nan
             if self.fault_plan.injects_drift:
                 drifting = self.fault_plan.drift_mask(self.row_ids[rows])
                 if drifting.any():
                     derivatives[drifting] += self.fault_plan.drift_rate
         return derivatives
 
-    def jacobian(self, times: Array, states: Array,
-                 rows: Array) -> Array:
+    def jacobian(self, times: np.ndarray, states: np.ndarray,
+                 rows: np.ndarray) -> np.ndarray:
         """Batched Jacobians for the selected simulations."""
         del times
         constants = self.parameters.rate_constants[rows]
@@ -152,7 +153,7 @@ class BatchedODEProblem:
         self.counters.jacobian_simulation_evaluations += rows.shape[0]
         return self.system.jacobian(states, constants)
 
-    def subset(self, rows: Array) -> "BatchedODEProblem":
+    def subset(self, rows: np.ndarray) -> "BatchedODEProblem":
         """Problem restricted to a subset of simulations.
 
         The kernel counters are *shared* with the parent problem so

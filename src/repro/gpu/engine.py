@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from ..backend import Array, xp
+import numpy as np
+
 from ..errors import CampaignInterrupted, SolverError
 from ..guards import (GuardConfig, GuardLog, InvariantMonitor, KernelGuard,
                       MemoryEvent, MemoryGovernor)
@@ -247,7 +248,7 @@ class BatchSimulator:
     # ------------------------------------------------------------------
 
     def simulate(self, t_span: tuple[float, float],
-                 t_eval: Array | None = None,
+                 t_eval: np.ndarray | None = None,
                  parameters: ParameterizationBatch | Parameterization |
                  None = None) -> BatchSolveResult:
         """Run the batch and return merged trajectories.
@@ -259,8 +260,8 @@ class BatchSimulator:
         """
         batch = self._normalize_parameters(parameters)
         if t_eval is None:
-            t_eval = xp.array([float(t_span[0]), float(t_span[1])])
-        t_eval = xp.asarray(t_eval, dtype=xp.float64)
+            t_eval = np.array([float(t_span[0]), float(t_span[1])])
+        t_eval = np.asarray(t_eval, dtype=np.float64)
 
         counters = KernelCounters()
         report = EngineReport(elapsed_seconds=0.0, n_launches=0,
@@ -276,10 +277,10 @@ class BatchSimulator:
                     f"injected crash before launch {report.n_launches}",
                     completed_chunks=report.n_launches)
             stop = min(start + self.max_batch_per_launch, batch.size)
-            sub_batch = batch.subset(xp.arange(start, stop))
+            sub_batch = batch.subset(np.arange(start, stop))
             problem = BatchedODEProblem(self.system, sub_batch, self.policy,
                                         counters, self.fault_plan,
-                                        xp.arange(start, stop), kernel_guard,
+                                        np.arange(start, stop), kernel_guard,
                                         tracer)
             launch_span = tracer.start(
                 f"launch-{report.n_launches}", "launch",
@@ -298,7 +299,7 @@ class BatchSimulator:
             if self.fault_plan is not None and \
                     self.fault_plan.forces_launch_failure(report.n_launches):
                 chunk.status_codes[:] = BROKEN
-                chunk.y[:] = xp.nan
+                chunk.y[:] = np.nan
             if invariant_monitor is not None:
                 self._check_invariants(invariant_monitor, report, problem,
                                        chunk)
@@ -474,12 +475,12 @@ class BatchSimulator:
         masking pick them up like any solver failure.
         """
         log = report.guard_log
-        ok_rows = xp.flatnonzero(result.status_codes == OK)
+        ok_rows = np.flatnonzero(result.status_codes == OK)
         if ok_rows.size == 0:
             return
         ratios = monitor.drift_ratios(
             result.y[ok_rows], problem.parameters.initial_states[ok_rows])
-        violated = xp.flatnonzero(ratios > 1.0)
+        violated = np.flatnonzero(ratios > 1.0)
         if violated.size == 0:
             return
         rows = ok_rows[violated]
@@ -494,7 +495,7 @@ class BatchSimulator:
 
     def _run_launch_governed(self, problem: BatchedODEProblem,
                              t_span: tuple[float, float],
-                             t_eval: Array,
+                             t_eval: np.ndarray,
                              report: EngineReport) -> BatchSolveResult:
         """Run one launch under the memory governor (if any).
 
@@ -526,7 +527,7 @@ class BatchSimulator:
                                  problem.n_species, 0)
         merged.counters = problem.counters
         for start, stop in plan.segments:
-            rows = xp.arange(start, stop)
+            rows = np.arange(start, stop)
             segment = self._run_launch(problem.subset(rows), t_span,
                                        t_eval, report)
             merged.merge_rows(segment, rows)
@@ -541,7 +542,7 @@ class BatchSimulator:
         return merged
 
     def _run_launch(self, problem: BatchedODEProblem,
-                    t_span: tuple[float, float], t_eval: Array,
+                    t_span: tuple[float, float], t_eval: np.ndarray,
                     report: EngineReport) -> BatchSolveResult:
         if self.method == "auto":
             result, decision = StiffnessRouter(
@@ -570,7 +571,7 @@ class BatchSimulator:
 
     def _retry_failed_rows(self, problem: BatchedODEProblem,
                            chunk: BatchSolveResult,
-                           t_span: tuple[float, float], t_eval: Array,
+                           t_span: tuple[float, float], t_eval: np.ndarray,
                            report: EngineReport,
                            invariant_monitor: InvariantMonitor | None = None,
                            launch_span: SpanHandle | None = None
@@ -586,7 +587,7 @@ class BatchSimulator:
         counts as recovered — a rung that converges but still drifts is
         not a rescue.
         """
-        failed = xp.flatnonzero(chunk.failed_mask)
+        failed = np.flatnonzero(chunk.failed_mask)
         if failed.size == 0:
             return
         histories = {
@@ -622,7 +623,7 @@ class BatchSimulator:
                     STATUS_NAMES[int(retried.status_codes[local])],
                     int(retried.n_steps[local]),
                     options.rtol, options.atol, options.max_steps))
-            recovered = xp.flatnonzero(retried.status_codes == OK)
+            recovered = np.flatnonzero(retried.status_codes == OK)
             if recovered.size:
                 chunk.merge_rows(retried.take_rows(recovered),
                                  failed[recovered])
@@ -640,20 +641,20 @@ class BatchSimulator:
 
     @staticmethod
     def _merge(chunks: list[BatchSolveResult],
-               t_eval: Array) -> BatchSolveResult:
+               t_eval: np.ndarray) -> BatchSolveResult:
         if len(chunks) == 1:
             return chunks[0]
         merged = BatchSolveResult(
             t=t_eval.copy(),
-            y=xp.concatenate([chunk.y for chunk in chunks]),
-            status_codes=xp.concatenate(
+            y=np.concatenate([chunk.y for chunk in chunks]),
+            status_codes=np.concatenate(
                 [chunk.status_codes for chunk in chunks]),
-            method_codes=xp.concatenate(
+            method_codes=np.concatenate(
                 [chunk.method_codes for chunk in chunks]),
-            n_steps=xp.concatenate([chunk.n_steps for chunk in chunks]),
-            n_accepted=xp.concatenate(
+            n_steps=np.concatenate([chunk.n_steps for chunk in chunks]),
+            n_accepted=np.concatenate(
                 [chunk.n_accepted for chunk in chunks]),
-            n_rejected=xp.concatenate(
+            n_rejected=np.concatenate(
                 [chunk.n_rejected for chunk in chunks]),
             counters=chunks[0].counters,
         )

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..backend import Array, xp
+import numpy as np
+
 from ..lint.model_rules import STIFFNESS_SAFE_DECADES, stiffness_risk_score
 from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.stiffness import power_iteration_matvec
@@ -48,15 +49,15 @@ class RoutingDecision:
         calibrated cost model said BDF is cheaper for this bucket.
     """
 
-    stiff_mask: Array
-    spectral_radii: Array
+    stiff_mask: np.ndarray
+    spectral_radii: np.ndarray
     threshold: float
     probe_skipped: bool = False
     stiff_method: str = "radau5"
 
     @property
     def n_stiff(self) -> int:
-        return int(xp.sum(self.stiff_mask))
+        return int(np.sum(self.stiff_mask))
 
     def to_dict(self) -> dict:
         return {"stiff_mask": [bool(v) for v in self.stiff_mask],
@@ -67,8 +68,8 @@ class RoutingDecision:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingDecision":
-        return cls(xp.asarray(data["stiff_mask"], dtype=bool),
-                   xp.asarray(data["spectral_radii"], dtype=xp.float64),
+        return cls(np.asarray(data["stiff_mask"], dtype=bool),
+                   np.asarray(data["spectral_radii"], dtype=np.float64),
                    float(data["threshold"]),
                    bool(data.get("probe_skipped", False)),
                    str(data.get("stiff_method", "radau5")))
@@ -76,7 +77,7 @@ class RoutingDecision:
 
 def classify_batch(problem: BatchedODEProblem, t0: float,
                    threshold: float,
-                   initial_states: Array | None = None,
+                   initial_states: np.ndarray | None = None,
                    static_risk: float | None = None) -> RoutingDecision:
     """Stiffness classification of every simulation in a batch.
 
@@ -94,17 +95,17 @@ def classify_batch(problem: BatchedODEProblem, t0: float,
     """
     if static_risk is not None and static_risk < STIFFNESS_SAFE_DECADES:
         batch = problem.batch_size
-        return RoutingDecision(xp.zeros(batch, dtype=bool),
-                               xp.zeros(batch), threshold,
+        return RoutingDecision(np.zeros(batch, dtype=bool),
+                               np.zeros(batch), threshold,
                                probe_skipped=True)
     states = (problem.initial_states() if initial_states is None
-              else xp.asarray(initial_states, dtype=xp.float64))
-    rows = xp.arange(problem.batch_size)
-    times = xp.full(rows.size, t0)
+              else np.asarray(initial_states, dtype=np.float64))
+    rows = np.arange(problem.batch_size)
+    times = np.full(rows.size, t0)
     base = problem.fun(times, states, rows)
-    scale = 1e-7 * (xp.norm(states, axis=1, keepdims=True) + 1.0)
+    scale = 1e-7 * (np.linalg.norm(states, axis=1, keepdims=True) + 1.0)
 
-    def jacobian_action(directions: Array) -> Array:
+    def jacobian_action(directions: np.ndarray) -> np.ndarray:
         probes = states + scale * directions
         return (problem.fun(times, probes, rows) - base) / scale
 
@@ -142,8 +143,8 @@ class StiffnessRouter:
         return BatchRadau5, "radau5"
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
-              t_eval: Array | None = None,
-              initial_states: Array | None = None
+              t_eval: np.ndarray | None = None,
+              initial_states: np.ndarray | None = None
               ) -> tuple[BatchSolveResult, RoutingDecision]:
         """Integrate a batch with per-simulation method selection."""
         static_risk = None
@@ -154,18 +155,18 @@ class StiffnessRouter:
                                   self.options.stiffness_threshold,
                                   initial_states, static_risk)
         states = (problem.initial_states() if initial_states is None
-                  else xp.asarray(initial_states, dtype=xp.float64))
+                  else np.asarray(initial_states, dtype=np.float64))
 
         batch = problem.batch_size
         if t_eval is None:
-            t_eval = xp.array([float(t_span[0]), float(t_span[1])])
-        t_eval = xp.asarray(t_eval, dtype=xp.float64)
+            t_eval = np.array([float(t_span[0]), float(t_span[1])])
+        t_eval = np.asarray(t_eval, dtype=np.float64)
         merged = allocate_result(t_eval, batch, problem.n_species,
                                  METHOD_DOPRI5)
         merged.counters = problem.counters
 
-        nonstiff_rows = xp.flatnonzero(~decision.stiff_mask)
-        stiff_rows = xp.flatnonzero(decision.stiff_mask)
+        nonstiff_rows = np.flatnonzero(~decision.stiff_mask)
+        stiff_rows = np.flatnonzero(decision.stiff_mask)
         implicit_cls, stiff_method = self._implicit_solver(
             batch, problem.n_species)
         decision = replace(decision, stiff_method=stiff_method)
@@ -193,7 +194,7 @@ class StiffnessRouter:
 
     @staticmethod
     def _splice(merged: BatchSolveResult, part: BatchSolveResult,
-                rows: Array) -> None:
+                rows: np.ndarray) -> None:
         merged.y[rows] = part.y
         merged.status_codes[rows] = part.status_codes
         merged.method_codes[rows] = part.method_codes

@@ -24,8 +24,7 @@ Three analyzers with flake8-style rule IDs and a shared report layer:
   (``repro lint --shapes``): an abstract interpreter over the same
   dataflow engine propagates symbolic axis lengths (B batch, S
   species, R reactions, K stages) and dtypes through def-use chains,
-  powering the shape rules ``SHP001``–``SHP006`` and the
-  backend-conformance rules ``BKD001``–``BKD003``, gated by
+  powering the shape rules ``SHP001``–``SHP006``, gated by
   :data:`~repro.lint.shapes.DEFAULT_SHAPES_BASELINE` (committed
   empty).
 * :func:`lint_conc` — the concurrency-safety analyzer

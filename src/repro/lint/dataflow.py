@@ -697,6 +697,12 @@ _VIEW_PRODUCERS = {"asarray", "ravel", "reshape", "view", "transpose",
                    "swapaxes", "ascontiguousarray"}
 
 
+#: Local names that spell "the array module" in analyzed code: every
+#: rule that recognizes ``np.float32`` or ``np.reshape(x, ...)`` by its
+#: root name reads this one tuple.
+ARRAY_MODULES = ("np", "numpy")
+
+
 def attr_chain(node: ast.AST) -> list[str]:
     """``a.b.c`` -> ``['a', 'b', 'c']`` (best effort, [] if opaque)."""
     parts: list[str] = []

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 
-from .dataflow import ModuleInfo, ProjectIndex, attr_chain
+from .dataflow import ARRAY_MODULES, ModuleInfo, ProjectIndex, attr_chain
 
 #: Deep determinism rules: rule ID -> (default severity, one-line doc).
 DET_RULES = {
@@ -199,7 +199,7 @@ def _is_narrowing(expression: ast.AST) -> str | None:
                     if name:
                         return name
             elif terminal in _NARROW and chain[:-1] and \
-                    chain[0] in ("np", "numpy"):
+                    chain[0] in ARRAY_MODULES:
                 return terminal
         elif isinstance(node, ast.keyword) and node.arg == "dtype":
             name = _narrow_name(node.value)
@@ -271,7 +271,7 @@ def _unseeded_rng_reason(node: ast.Call) -> str | None:
     if terminal == "RandomState" and not node.args and not node.keywords:
         return "RandomState() without a seed draws from OS entropy"
     if len(chain) >= 3 and chain[-2] == "random" \
-            and chain[-3] in ("np", "numpy") \
+            and chain[-3] in ARRAY_MODULES \
             and terminal in _GLOBAL_NP_DISTS:
         return (f"np.random.{terminal} uses the shared global "
                 "generator, whose state depends on call history")

@@ -26,7 +26,7 @@ import textwrap
 from pathlib import Path
 
 from ..errors import LintError
-from .dataflow import WaiverIndex
+from .dataflow import ARRAY_MODULES, WaiverIndex
 from .report import LintReport
 
 #: Rule registry: rule ID -> (default severity, one-line description).
@@ -256,7 +256,7 @@ class _KernelVisitor(ast.NodeVisitor):
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if node.attr in _NARROW_DTYPES:
             chain = _attr_chain(node)
-            if chain and chain[0] in ("np", "numpy"):
+            if chain and chain[0] in ARRAY_MODULES:
                 self._check_dtype_value(node)
         self.generic_visit(node)
 

@@ -2,9 +2,8 @@
 
 Aggregates the analyzer registries — model rules (``RBM0xx``),
 shallow kernel rules (``KRN0xx``), deep dataflow/contract rules
-(``DET0xx``/``CON0xx``), symbolic shape/dtype rules (``SHP0xx``),
-backend-conformance rules (``BKD0xx``) and concurrency-safety rules
-(``CNC0xx``) — plus the meta rules the tooling itself emits
+(``DET0xx``/``CON0xx``), symbolic shape/dtype rules (``SHP0xx``)
+and concurrency-safety rules (``CNC0xx``) — plus the meta rules the tooling itself emits
 (``LNT0xx``), into :class:`RuleInfo` records
 consumed by ``repro lint --list-rules`` and the JSON report's rule
 documentation.
@@ -14,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .backend_rules import BKD_RULES
 from .conc_rules import CNC_RULES
 from .contract_rules import CON_RULES
 from .deep_rules import DET_RULES
@@ -121,15 +119,6 @@ RULE_DOCS = {
     "SHP006": "An out= destination's inferred dtype is narrower than "
               "the widest input dtype: every store silently "
               "downcasts at a point that moves with the expression.",
-    "BKD001": "A backend-ported gpu module imports numpy: kernels "
-              "must touch array ops only through the xp namespace so "
-              "substrates stay swappable.",
-    "BKD002": "A gpu module reads an attribute through a numpy-bound "
-              "alias or a from-numpy import: the op bypasses the "
-              "backend substrate protocol.",
-    "BKD003": "An xp.<op> read names an op the backend protocol does "
-              "not declare: it resolves on the numpy substrate by "
-              "accident and breaks on every other backend.",
     "CNC001": "A blocking operation (time.sleep, a sync-primitive "
               "wait/acquire/get, file or socket IO, a direct campaign "
               "run) is reachable from an async def through the "
@@ -208,8 +197,7 @@ class RuleInfo:
 def _family_table() -> list[tuple[str, dict]]:
     return [("model", MODEL_RULES), ("kernel", KERNEL_RULES),
             ("deep", DEEP_RULES), ("shape", SHP_RULES),
-            ("backend", BKD_RULES), ("conc", CNC_RULES),
-            ("meta", META_RULES)]
+            ("conc", CNC_RULES), ("meta", META_RULES)]
 
 
 def iter_rules() -> list[RuleInfo]:

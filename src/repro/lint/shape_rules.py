@@ -6,7 +6,7 @@ scope evaluates to an :class:`AbstractValue` — a tuple of symbolic
 axis lengths drawn from the project's dimension vocabulary (``B``
 batch rows, ``S`` species, ``R`` reactions, ``K`` stage count) plus a
 dtype — propagated through def-use chains, subscripts, broadcasts and
-the backend op surface. The rules then ask shape questions the
+the numpy op surface. The rules then ask shape questions the
 syntactic DET family cannot: *is this operand actually batch-led when
 it hits a row-contracting op?*, *does this broadcast silently pair the
 batch axis with the species axis?*, *does a float32 value reach a
@@ -26,7 +26,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from .dataflow import (DefUseChains, ModuleInfo, ProjectIndex, attr_chain)
+from .dataflow import (ARRAY_MODULES, DefUseChains, ModuleInfo, ProjectIndex,
+                       attr_chain)
 
 #: Shape/dtype rules: rule ID -> (default severity, one-line doc).
 SHP_RULES = {
@@ -186,7 +187,7 @@ def broadcast(a: AbstractValue, b: AbstractValue
 
 
 def _dtype_name(node: ast.AST) -> str | None:
-    """Dtype named by an expression (``xp.float32``, ``"float32"``)."""
+    """Dtype named by an expression (``np.float32``, ``"float32"``)."""
     if isinstance(node, ast.Constant) and isinstance(node.value, str) \
             and node.value in _DTYPE_RANK:
         return node.value
@@ -590,7 +591,7 @@ class ShapeInterpreter:
         if isinstance(node.func, ast.Attribute):
             root = node.func.value
             namespace = (isinstance(root, ast.Name)
-                         and root.id in ("xp", "np", "numpy"))
+                         and root.id in ARRAY_MODULES)
             if not namespace:
                 return self.eval(root)
         if node.args:
@@ -876,7 +877,7 @@ def _reshape_keeps_batch(node: ast.Call, interp) -> bool:
     arguments = node.args
     if isinstance(node.func, ast.Attribute) \
             and isinstance(node.func.value, ast.Name) \
-            and node.func.value.id in ("xp", "np", "numpy"):
+            and node.func.value.id in ARRAY_MODULES:
         arguments = node.args[1:]  # function-style: skip the array
     if not arguments:
         return False

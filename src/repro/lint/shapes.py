@@ -1,11 +1,9 @@
-"""Driver of the shape/backend analysis pass (``repro lint --shapes``).
+"""Driver of the shape analysis pass (``repro lint --shapes``).
 
 Builds a :class:`~repro.lint.dataflow.ProjectIndex` over the package
 source (or an explicit file set), runs the symbolic shape/dtype rules
-(``SHP001``–``SHP006``, :mod:`repro.lint.shape_rules`) and the
-backend-conformance rules (``BKD001``–``BKD003``,
-:mod:`repro.lint.backend_rules`), applies waiver pragmas and the
-committed baseline, and reports stale waivers (``LNT000``) and stale
+(``SHP001``–``SHP006``, :mod:`repro.lint.shape_rules`), applies waiver
+pragmas and the committed baseline, and reports stale waivers (``LNT000``) and stale
 baseline entries (``LNT001``).
 
 The baseline machinery is shared bit-for-bit with the deep analyzer
@@ -20,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backend_rules import BKD_CHECKS, BKD_RULES
 from .dataflow import ProjectIndex
 from .deep import (_apply_baseline, _common_parent, _Emitter,
                    package_source_files, write_baseline)
@@ -31,15 +28,15 @@ __all__ = ["DEFAULT_SHAPES_BASELINE", "SHAPE_RULES", "ShapeConfig",
            "lint_shapes", "write_baseline"]
 
 #: Every shapes-analyzer rule: id -> (default severity, one-line doc).
-SHAPE_RULES = {**SHP_RULES, **BKD_RULES}
+SHAPE_RULES = SHP_RULES
 
 #: Baseline shipped next to this module, applied by default when the
 #: analysis root is the repro package itself. Committed empty.
 DEFAULT_SHAPES_BASELINE = (Path(__file__).resolve().parent
                            / "shapes_baseline.json")
 
-#: Prefixes of rule IDs the shapes analyzer owns (stale-waiver scope).
-_SHAPE_PREFIXES = ("SHP", "BKD")
+#: Prefix of rule IDs the shapes analyzer owns (stale-waiver scope).
+_SHAPE_PREFIX = "SHP"
 
 
 @dataclass(frozen=True)
@@ -59,20 +56,6 @@ class ShapeConfig:
     #: batched-kernel naming conventions (``states`` -> (B, S), ...).
     #: Everything else starts unknown — conservative by construction.
     seed_globs: tuple[str, ...] = ("gpu/*.py", "batch_*.py")
-    #: Module globs the backend-conformance rules police (the bare
-    #: ``batch_*.py`` entry covers single-file CLI invocations where
-    #: the report root is the file's own directory).
-    gpu_globs: tuple[str, ...] = ("gpu/*.py", "batch_*.py")
-    #: Module globs exempt from conformance (the substrate itself).
-    backend_globs: tuple[str, ...] = ("backend/*.py",
-                                      "numpy_backend.py",
-                                      "protocol.py")
-    #: Local name of the backend namespace inside kernels.
-    backend_name: str = "xp"
-    #: Op surface BKD003 checks ``xp.<op>`` reads against. ``None``
-    #: means the live protocol (:data:`repro.backend.protocol
-    #: .REQUIRED_OPS`), so protocol and consumers cannot drift apart.
-    backend_ops: tuple[str, ...] | None = None
 
 
 DEFAULT_CONFIG = ShapeConfig()
@@ -82,7 +65,7 @@ def lint_shapes(paths: list[str | Path] | None = None, *,
                 root: Path | None = None,
                 baseline_path: str | Path | None = None,
                 config: ShapeConfig = DEFAULT_CONFIG) -> LintReport:
-    """Run the shape/backend analysis and return a
+    """Run the shape analysis and return a
     :class:`~repro.lint.report.LintReport`.
 
     Parameters
@@ -115,14 +98,13 @@ def lint_shapes(paths: list[str | Path] | None = None, *,
         subject=f"shape analysis: {len(files)} file(s)",
         metadata={"files": [module.relpath for module in index.modules]})
     emit = _Emitter(report, severities=dict(SHAPE_RULES))
-    for checks in (SHP_CHECKS, BKD_CHECKS):
-        for check in checks.values():
-            check(index, config, emit)
-    # Stale SHP/BKD waivers surface as LNT000, after every rule has
-    # had its chance to consume them.
+    for check in SHP_CHECKS.values():
+        check(index, config, emit)
+    # Stale SHP waivers surface as LNT000, after every rule has had
+    # its chance to consume them.
     for module in index.modules:
         for lineno, rule in module.waivers.stale(
-                lambda r: r.startswith(_SHAPE_PREFIXES)):
+                lambda r: r.startswith(_SHAPE_PREFIX)):
             report.add("LNT000", "warning",
                        f"stale waiver: the {rule} pragma on line "
                        f"{lineno} suppresses nothing",

@@ -125,6 +125,23 @@ class TestNarrowDtypes:
                 return np.zeros(n, dtype=np.float64)
         """, "KRN003")
 
+    def test_krn003_fires_inside_a_shipped_kernel(self, tmp_path):
+        """The shipped kernels spell numpy as ``np``, so a narrowing cast
+        injected into one of them must not slip past the linter."""
+        shipped = next(path for path in shipped_kernel_paths()
+                       if path.name == "batch_radau5.py")
+        anchor = "        guess = np.zeros((active.size, 3, n))\n"
+        source = shipped.read_text()
+        assert anchor in source
+        copy = tmp_path / shipped.name
+        copy.write_text(source.replace(
+            anchor, anchor + "        states = states.astype(np.float32)\n",
+            1))
+        assert not lint_kernels([shipped]).by_rule("KRN003")
+        hits = lint_kernels([copy]).by_rule("KRN003")
+        assert len(hits) == 1
+        assert "float32" in hits[0].message
+
 
 class TestViewWrites:
     def test_krn004_write_through_basic_slice_view(self):

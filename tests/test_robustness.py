@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import Timer, format_table, measure, speedup
+from repro.bench import format_table
 from repro.core import (ParameterRange, SweepTarget, amplitude_metric,
                         run_psa_2d, simulate)
 from repro.errors import AnalysisError
@@ -121,18 +121,6 @@ class TestRenderMap:
 
 
 class TestBenchHelpers:
-    def test_timer_measures(self):
-        with Timer() as timer:
-            sum(range(1000))
-        assert timer.elapsed >= 0.0
-
-    def test_measure_returns_minimum(self):
-        assert measure(lambda: None, repeat=3) >= 0.0
-
-    def test_speedup(self):
-        assert speedup(2.0, 1.0) == 2.0
-        assert speedup(1.0, 0.0) == float("inf")
-
     def test_format_table_alignment(self):
         table = format_table(["name", "value"],
                              [("alpha", 1.0), ("b", 123456.0)])

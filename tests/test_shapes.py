@@ -1,10 +1,9 @@
 """Self-application gate and seeded regressions of the shapes analyzer.
 
-The shape/backend analysis must run clean over the repo's own package
-source with the committed (empty) baseline — this test IS the
-shape-safety regression guard: any future row-contracting tensordot,
-float32 state accumulator, raw numpy call inside a kernel or
-off-protocol ``xp`` op fails CI here.
+The shape analysis must run clean over the repo's own package source
+with the committed (empty) baseline — this test IS the shape-safety
+regression guard: any future row-contracting tensordot or float32
+state accumulator fails CI here.
 
 Each seeded regression re-introduces one defect class the analyzer
 exists to catch and asserts the exact rule fires; a hypothesis
@@ -20,7 +19,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.backend.protocol import REQUIRED_OPS
 from repro.cli import main
 from repro.errors import LintError
 from repro.lint import (DEFAULT_SHAPES_BASELINE, SHAPE_RULES,
@@ -66,10 +64,10 @@ class TestSelfGate:
 class TestSeededShapeRegressions:
     def test_row_contracting_tensordot_is_shp001(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def norms(states):
-                return xp.tensordot(states, states, axes=(0, 0))
+                return np.tensordot(states, states, axes=(0, 0))
         """)
         report = lint_shapes([path], root=root)
         hits = report.by_rule("SHP001")
@@ -78,16 +76,16 @@ class TestSeededShapeRegressions:
 
     def test_axis0_reduction_is_shp001(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def total(states):
-                return xp.sum(states, axis=0)
+                return np.sum(states, axis=0)
         """)
         assert lint_shapes([path], root=root).by_rule("SHP001")
 
     def test_batch_axis_broadcast_is_shp002(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def drift(states, times):
                 return states + times
@@ -96,7 +94,7 @@ class TestSeededShapeRegressions:
 
     def test_keepdims_style_broadcast_is_clean(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def drift(states, times):
                 return states + times[:, None]
@@ -106,10 +104,10 @@ class TestSeededShapeRegressions:
 
     def test_float32_state_accumulator_is_shp003(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def accumulate(states):
-                acc = states.astype(xp.float32)
+                acc = states.astype(np.float32)
                 acc = acc + states
                 return acc
         """)
@@ -117,7 +115,7 @@ class TestSeededShapeRegressions:
 
     def test_shape_unstable_branches_are_shp004(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def pick(states, times, flag):
                 if flag:
@@ -130,7 +128,7 @@ class TestSeededShapeRegressions:
 
     def test_batch_folding_ravel_is_shp005(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def flat(states):
                 return states.ravel()
@@ -139,7 +137,7 @@ class TestSeededShapeRegressions:
 
     def test_batch_preserving_reshape_is_clean(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def rows(states):
                 return states.reshape(states.shape[0], -1)
@@ -149,84 +147,31 @@ class TestSeededShapeRegressions:
 
     def test_narrow_out_target_is_shp006(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def store(states):
-                out = xp.zeros((4, 3), dtype=xp.float32)
-                xp.maximum(states, states, out=out)
+                out = np.zeros((4, 3), dtype=np.float32)
+                np.maximum(states, states, out=out)
                 return out
         """)
         assert lint_shapes([path], root=root).by_rule("SHP006")
 
 
-class TestSeededBackendRegressions:
-    def test_numpy_import_in_kernel_is_bkd001(self, tmp_path):
-        root, path = _tree(tmp_path, """
-            import numpy as np
-
-            def total(states):
-                return np.sum(states, axis=-1)
-        """)
-        report = lint_shapes([path], root=root)
-        assert report.by_rule("BKD001")
-        assert report.by_rule("BKD002")
-
-    def test_from_numpy_import_is_bkd001_and_use_is_bkd002(self, tmp_path):
-        root, path = _tree(tmp_path, """
-            from numpy import nansum
-
-            def total(states):
-                return nansum(states)
-        """)
-        report = lint_shapes([path], root=root)
-        assert report.by_rule("BKD001")
-        assert report.by_rule("BKD002")
-
-    def test_off_protocol_xp_op_is_bkd003(self, tmp_path):
-        root, path = _tree(tmp_path, """
-            from ..backend import xp
-
-            def factor(matrices):
-                return xp.fancy_svd(matrices)
-        """)
-        hits = lint_shapes([path], root=root).by_rule("BKD003")
-        assert len(hits) == 1
-        assert "fancy_svd" in hits[0].message
-
-    def test_protocol_surface_is_the_source_of_truth(self, tmp_path):
-        """Every op actually declared by the protocol passes BKD003."""
-        body = "\n".join(f"    a{i} = xp.{op}"
-                         for i, op in enumerate(REQUIRED_OPS))
-        root, path = _tree(tmp_path,
-                           "from ..backend import xp\n\n"
-                           f"def touch(states):\n{body}\n    return states\n")
-        assert lint_shapes([path], root=root).by_rule("BKD003") == []
-
-    def test_backend_module_itself_is_exempt(self, tmp_path):
-        root = tmp_path / "proj"
-        (root / "backend").mkdir(parents=True)
-        path = root / "backend" / "numpy_backend.py"
-        path.write_text("import numpy as np\nxp = np\n")
-        report = lint_shapes([path], root=root)
-        assert report.by_rule("BKD001") == []
-        assert report.by_rule("BKD002") == []
-
-
 class TestWaiversAndBaseline:
     DIRTY = """
-        from ..backend import xp
+        import numpy as np
 
         def norms(states):
-            return xp.tensordot(states, states, axes=(0, 0))
+            return np.tensordot(states, states, axes=(0, 0))
     """
 
     def test_waiver_suppresses_and_counts(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def norms(states):
                 # lint: skip=SHP001
-                return xp.tensordot(states, states, axes=(0, 0))
+                return np.tensordot(states, states, axes=(0, 0))
         """)
         report = lint_shapes([path], root=root)
         assert report.by_rule("SHP001") == []
@@ -235,7 +180,7 @@ class TestWaiversAndBaseline:
 
     def test_stale_shape_waiver_is_lnt000(self, tmp_path):
         root, path = _tree(tmp_path, """
-            from ..backend import xp
+            import numpy as np
 
             def quiet(states):
                 return states * 2.0  # lint: skip=SHP001
@@ -306,29 +251,28 @@ class TestShapesCLI:
         for rule_id in SHAPE_RULES:
             assert rule_id in rules
         assert rules["SHP001"]["family"] == "shape"
-        assert rules["BKD003"]["family"] == "backend"
 
 
 _GENERATED_STATEMENTS = (
     "value = states * 2.0",
     "value = states + times[:, None]",
     "value = states + times",
-    "value = xp.sum(states, axis=1)",
-    "value = xp.sum(states, axis=0)",
-    "value = xp.tensordot(states, states, axes=(0, 0))",
-    "value = states.astype(xp.float32)",
+    "value = np.sum(states, axis=1)",
+    "value = np.sum(states, axis=0)",
+    "value = np.tensordot(states, states, axes=(0, 0))",
+    "value = states.astype(np.float32)",
     "value = states.ravel()",
     "value = states.reshape(states.shape[0], -1)",
-    "value = xp.zeros((batch, n))",
+    "value = np.zeros((batch, n))",
     "value = states[active]",
-    "value = xp.where(flag, states, 0.0)",
+    "value = np.where(flag, states, 0.0)",
     "value = value + states",
     "states = states + 1.0",
-    "value = xp.norm(states, axis=-1)",
-    "value = xp.maximum(states, 1e-30)",
+    "value = np.linalg.norm(states, axis=-1)",
+    "value = np.maximum(states, 1e-30)",
     "for row in states:\n        value = row",
     "if flag:\n        states = times",
-    "value = xp.einsum('bij,bj->bi', matrices, states)",
+    "value = np.einsum('bij,bj->bi', matrices, states)",
     "value = np.linspace(0.0, 1.0, n)",
 )
 
@@ -338,8 +282,7 @@ class TestNeverCrashes:
                     min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_generated_kernels_lint_without_crashing(self, statements):
-        source = ("import numpy as np\n"
-                  "from ..backend import xp\n\n"
+        source = ("import numpy as np\n\n"
                   "def kernel(states, times, matrices, flag, batch, n, "
                   "active):\n")
         source += "".join(f"    {stmt}\n" for stmt in statements)
@@ -361,8 +304,7 @@ class TestRuleRegistryContract:
         for rule_id in SHAPE_RULES:
             info = rule_info(rule_id)
             assert info is not None
-            assert info.family == ("shape" if rule_id.startswith("SHP")
-                                   else "backend")
+            assert info.family == "shape"
             assert info.severity in ("info", "warning", "error")
             assert len(info.doc) > 20
 
