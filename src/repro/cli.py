@@ -457,8 +457,7 @@ def _command_calibrate(args) -> int:
     if args.out:
         report.save(args.out)
         print(f"\nwrote calibration report to {args.out} "
-              f"(pass to 'repro serve --calibration' or "
-              f"BatchSimulator(cost_model=...))")
+              f"(pass to 'repro serve --calibration')")
     return 0
 
 

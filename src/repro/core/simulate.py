@@ -205,8 +205,6 @@ class SequentialSimulator:
                 result.status_codes[index] = EXHAUSTED
             else:
                 result.status_codes[index] = BROKEN
-            result.counters.rhs_simulation_evaluations += \
-                single.stats.n_rhs_evaluations
             completed += 1
         result.status_codes[completed:] = BROKEN
         result.elapsed_seconds = clock.monotonic() - started

@@ -19,16 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import xp
-from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
+from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.bdf import (ALPHA, ERROR_CONST, GAMMA, MAX_ORDER,
                            NEWTON_MAXITER, change_difference_array)
-from ..telemetry.tracer import NULL_TRACER
-from .batch_dopri5 import _initial_steps, _scaled_error_norms
-from .batch_result import (BROKEN, EXHAUSTED, METHOD_BDF, OK, RUNNING,
-                           BatchSolveResult, allocate_result)
+from .batch_loop import StepLoop, scaled_error_norms
+from .batch_result import METHOD_BDF, BatchSolveResult
 from .batched_ode import BatchedODEProblem
-
-_EDGE = 1e-12
 
 
 class BatchBDF:
@@ -37,101 +33,51 @@ class BatchBDF:
     name = "batch-bdf"
     method_code = METHOD_BDF
 
-    def __init__(self, options: SolverOptions = DEFAULT_OPTIONS,
-                 max_order: int = MAX_ORDER) -> None:
+    def __init__(self, options: SolverOptions = DEFAULT_OPTIONS) -> None:
         self.options = options
-        self.max_order = max_order
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
               t_eval: np.ndarray | None = None,
               initial_states: np.ndarray | None = None) -> BatchSolveResult:
         options = self.options
-        t_eval = validate_time_grid(t_span, t_eval)
-        t0, t1 = float(t_span[0]), float(t_span[1])
+        newton_tol = max(10 * np.finfo(float).eps / options.rtol,
+                         min(0.03, options.rtol ** 0.5))
+        loop = StepLoop(self, problem, t_span, t_eval, initial_states, 1)
+        times, steps = loop.times, loop.steps
         batch = problem.batch_size
         n = problem.n_species
         identity = np.eye(n)
-        newton_tol = max(10 * np.finfo(float).eps / options.rtol,
-                         min(0.03, options.rtol ** 0.5))
-        tracer = problem.tracer or NULL_TRACER
-        compile_span = tracer.start("compile", "phase",
-                                    parent=problem.trace_span,
-                                    solver=self.name, rows=batch)
-
-        states = (problem.initial_states() if initial_states is None
-                  else np.array(initial_states, dtype=np.float64))
-        result = allocate_result(t_eval, batch, n, self.method_code)
-        result.counters = problem.counters
-
-        times = np.full(batch, t0)
-        save_index = np.zeros(batch, dtype=np.int64)
-        if t_eval[0] == t0:
-            result.y[:, 0, :] = states
-            save_index[:] = 1
-
-        all_rows = np.arange(batch)
-        derivatives = problem.fun(times, states, all_rows)
-        if options.first_step is not None:
-            steps = np.full(batch, options.first_step)
-        else:
-            steps = _initial_steps(problem, t0, states, derivatives, 1,
-                                   options, t1 - t0)
-        max_step = min(options.max_step, t1 - t0)
 
         differences = np.zeros((batch, MAX_ORDER + 3, n))
-        differences[:, 0, :] = states
-        differences[:, 1, :] = derivatives * steps[:, None]
+        differences[:, 0, :] = loop.states
+        differences[:, 1, :] = loop.derivatives * steps[:, None]
+        # The current states live in the table's zeroth slice.
+        states = differences[:, 0, :]
         orders = np.ones(batch, dtype=np.int64)
         steps_at_order = np.zeros(batch, dtype=np.int64)
 
-        jacobians = problem.jacobian(times, states, all_rows)
+        jacobians = problem.jacobian(times, loop.states, loop.all_rows)
         jac_current = np.ones(batch, dtype=bool)
         inverses = np.zeros((batch, n, n))
         c_factored = np.full(batch, -1.0)
+        loop.start()
 
-        status = result.status_codes
-        status[save_index >= t_eval.size] = OK
-        tracer.end(compile_span)
-        loop_span = tracer.start("step-loop", "phase",
-                                 parent=problem.trace_span,
-                                 solver=self.name)
-
-        while True:
-            active = np.flatnonzero(status == RUNNING)
-            if active.size == 0:
-                break
-            exhausted = active[result.n_steps[active] >= options.max_steps]
-            if exhausted.size:
-                status[exhausted] = EXHAUSTED
-                active = np.flatnonzero(status == RUNNING)
-                if active.size == 0:
-                    break
-
+        while (active := loop.active()).size:
             # Catch-up guard: a row that drifted past its next save
             # point by floating-point accident records the current
             # state there (the drift is below the solver tolerance).
-            behind = active[
-                (save_index[active] < t_eval.size)
-                & (t_eval[np.minimum(save_index[active], t_eval.size - 1)]
-                   < times[active] - _EDGE * np.maximum(
-                       1.0, np.abs(times[active])))]
-            # lint: skip=KRN001 -- rare FP-drift repair on a handful of rows
-            for row in behind:
-                result.y[row, save_index[row], :] = differences[row, 0, :]
-                save_index[row] += 1
-                if save_index[row] >= t_eval.size:
-                    status[row] = OK
+            t_act = times[active]
+            behind = loop.behind(active, t_act)
             if behind.size:
-                active = np.flatnonzero(status == RUNNING)
+                loop.record_saves(behind, states)
+                active = loop.active()
                 if active.size == 0:
                     continue
+                t_act = times[active]
 
             # Clip to the horizon and the next save point (per-sim D
             # rescale for real step changes).
-            t_act = times[active]
-            limit = np.minimum(t1, t_eval[np.minimum(save_index[active],
-                                                     t_eval.size - 1)])
-            target = limit - t_act
+            target = np.minimum(loop.t1, loop.next_save(active)) - t_act
             needs_clip = steps[active] > target * (1.0 + 1e-12)
             # Each row clips by a different factor and the difference-
             # table rescale is order-local, so this stays per-row.
@@ -146,48 +92,32 @@ class BatchBDF:
                                         factor)
                 steps[row] = target[local]
                 steps_at_order[row] = 0
-            underflow = (steps[active] <= np.abs(t_act) * 1e-15) | \
-                (steps[active] < 1e-300) | ~np.isfinite(steps[active])
-            if np.any(underflow):
-                dead = active[underflow]
-                status[dead] = BROKEN
-                if problem.guard is not None:
-                    problem.guard.on_step_break(
-                        dead, problem.row_ids[dead], times[dead],
-                        steps[dead], status)
-                active = active[~underflow]
-                if active.size == 0:
-                    continue
-            result.n_steps[active] += 1
+            active, t_act, _ = loop.drop_broken(active, t_act, steps[active])
+            if active.size == 0:
+                continue
+            loop.result.n_steps[active] += 1
 
             # Group on a snapshot: a row that raises its order inside
             # this sweep must not be stepped again by the higher-order
             # group of the same sweep.
             orders_snapshot = orders.copy()
-            for order in range(1, self.max_order + 1):
+            for order in range(1, MAX_ORDER + 1):
                 group = active[orders_snapshot[active] == order]
                 if group.size:
-                    self._step_group(problem, group, order, times, steps,
+                    self._step_group(problem, loop, group, order,
                                      differences, orders, steps_at_order,
                                      jacobians, jac_current, inverses,
-                                     c_factored, identity, newton_tol,
-                                     result, save_index, status, t_eval,
-                                     max_step)
+                                     c_factored, identity, newton_tol)
 
-        tracer.end(loop_span)
-        # Save points are recorded in-loop from the difference table;
-        # the dense-output phase only covers the result hand-off.
-        with tracer.span("dense-output", "phase",
-                         parent=problem.trace_span, solver=self.name):
-            return result
+        return loop.finish()
 
     # ------------------------------------------------------------------
 
-    def _step_group(self, problem, rows, order, times, steps, differences,
-                    orders, steps_at_order, jacobians, jac_current,
-                    inverses, c_factored, identity, newton_tol, result,
-                    save_index, status, t_eval, max_step) -> None:
+    def _step_group(self, problem, loop, rows, order, differences, orders,
+                    steps_at_order, jacobians, jac_current, inverses,
+                    c_factored, identity, newton_tol) -> None:
         options = self.options
+        times, steps, result = loop.times, loop.steps, loop.result
         h = steps[rows]
         t_new = times[rows] + h
         d_group = differences[rows]
@@ -236,7 +166,7 @@ class BatchBDF:
         n_iter = n_iter[converged]
         y_old = differences[conv_rows, 0, :]
         error = ERROR_CONST[order] * correction
-        err = _scaled_error_norms(error, y_old, y_new, options)
+        err = scaled_error_norms(error, y_old, y_new, options)
         finite = np.all(np.isfinite(y_new), axis=1)
         err = np.where(finite, err, np.inf)
         safety = 0.9 * (2 * NEWTON_MAXITER + 1) / \
@@ -275,25 +205,17 @@ class BatchBDF:
         for i in reversed(range(order + 1)):
             differences[acc_rows, i, :] += differences[acc_rows, i + 1, :]
 
+        t_acc = times[acc_rows]
+        states = differences[:, 0, :]
         if problem.guard is not None:
-            # The current state lives in the difference table's zeroth
-            # slice; pass the basic-slice view so clamps write through.
-            problem.guard.after_accept(differences[:, 0, :], acc_rows,
-                                       problem.row_ids[acc_rows],
-                                       times[acc_rows], status)
-
-        tolerance = 1e-9 * np.maximum(1.0, np.abs(times[acc_rows]))
-        hits = acc_rows[np.abs(times[acc_rows]
-                               - t_eval[np.minimum(save_index[acc_rows],
-                                                   t_eval.size - 1)])
-                        <= tolerance]
-        hit_valid = hits[save_index[hits] < t_eval.size]
-        hit_valid = hit_valid[status[hit_valid] == RUNNING]
-        if hit_valid.size:
-            result.y[hit_valid, save_index[hit_valid], :] = \
-                differences[hit_valid, 0, :]
-            save_index[hit_valid] += 1
-            status[hit_valid[save_index[hit_valid] >= t_eval.size]] = OK
+            # Pass the basic-slice view of the current states so clamps
+            # write through to the difference table.
+            problem.guard.after_accept(states, acc_rows,
+                                       problem.row_ids[acc_rows], t_acc,
+                                       loop.status)
+        loop.record_saves(acc_rows[np.abs(t_acc - loop.next_save(acc_rows))
+                                   <= 1e-9 * np.maximum(1.0, np.abs(t_acc))],
+                          states)
 
         # Order/step adaptation for rows that completed order+1 steps.
         adapt = acc_rows[steps_at_order[acc_rows] >= order + 1]
@@ -308,7 +230,7 @@ class BatchBDF:
         for row in adapt:
             self._adapt_order(row, order, differences, steps, orders,
                               steps_at_order, c_factored,
-                              err_by_row[int(row)], options, max_step)
+                              err_by_row[int(row)], options, loop.max_step)
 
     def _newton(self, problem, rows, t_new, y_predict, c, psi, inverses,
                 tol):
@@ -382,7 +304,7 @@ class BatchBDF:
             norms.insert(0, max(norm_of(ERROR_CONST[order - 1]
                                         * differences[row, order, :]),
                                 1e-10))
-        if order < self.max_order:
+        if order < MAX_ORDER:
             candidates.append(order + 1)
             norms.append(max(norm_of(ERROR_CONST[order + 1]
                                      * differences[row, order + 2, :]),

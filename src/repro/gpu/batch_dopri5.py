@@ -6,23 +6,21 @@ kernels, but each keeps its own time, step size, PI controller memory
 and accept/reject decision — the NumPy realization of one CUDA thread
 (block) per simulation with per-thread adaptive stepping.
 
-Save times are shared across the batch and hit exactly by per-sim step
-clipping, which is how the coarse-grained GPU simulators of this paper
-family record dynamics without dense output.
+The per-row time, step, save cursor and status live in
+:class:`~repro.gpu.batch_loop.StepLoop`, shared with the implicit
+integrators.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
+from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.tableaus import DOPRI5
-from ..telemetry.tracer import NULL_TRACER
-from .batch_result import (BROKEN, EXHAUSTED, METHOD_DOPRI5, OK, RUNNING,
-                           STIFF, BatchSolveResult, allocate_result)
+from .batch_loop import StepLoop, scaled_error_norms
+from .batch_result import METHOD_DOPRI5, RUNNING, STIFF, BatchSolveResult
 from .batched_ode import BatchedODEProblem
 
-_EDGE = 1e-12  # relative tolerance when matching save times
 #: Hairer's DOPRI5 stability-boundary constant for the stiffness test.
 _STIFFNESS_BOUNDARY = 3.25
 #: Consecutive violations before a simulation is declared stiff.
@@ -43,35 +41,6 @@ def _combine_stages(weights: np.ndarray, stages: np.ndarray) -> np.ndarray:
     return combined
 
 
-def _scaled_error_norms(error: np.ndarray, reference: np.ndarray,
-                        candidate: np.ndarray,
-                        options: SolverOptions) -> np.ndarray:
-    scale = options.atol + options.rtol * np.maximum(np.abs(reference),
-                                                     np.abs(candidate))
-    return np.sqrt(np.mean((error / scale) ** 2, axis=1))
-
-
-def _initial_steps(problem: BatchedODEProblem, t0: float, states: np.ndarray,
-                   derivatives: np.ndarray, order: int,
-                   options: SolverOptions, span: float) -> np.ndarray:
-    """Vectorized Hairer starting-step heuristic (one extra kernel)."""
-    rows = np.arange(states.shape[0])
-    scale = options.atol + np.abs(states) * options.rtol
-    d0 = np.sqrt(np.mean((states / scale) ** 2, axis=1))
-    d1 = np.sqrt(np.mean((derivatives / scale) ** 2, axis=1))
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / (d1 + 1e-300))
-    probe = states + h0[:, None] * derivatives
-    f1 = problem.fun(np.full(states.shape[0], t0) + h0, probe, rows)
-    d2 = np.sqrt(np.mean(((f1 - derivatives) / scale) ** 2, axis=1)) / h0
-    dmax = np.maximum(d1, d2)
-    h1 = np.where(dmax <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(dmax, 1e-300)) ** (1.0 / (order + 1)))
-    # Pairwise minimum in fixed order: bit-identical to the former
-    # minimum.reduce over the same three operands.
-    cap = np.full_like(h0, min(options.max_step, span))
-    return np.minimum(np.minimum(100.0 * h0, h1), cap)
-
-
 class BatchDopri5:
     """Adaptive batched DOPRI5 with per-simulation step control.
 
@@ -86,10 +55,8 @@ class BatchDopri5:
     method_code = METHOD_DOPRI5
 
     def __init__(self, options: SolverOptions = DEFAULT_OPTIONS,
-                 use_pi_controller: bool = True,
                  abort_on_stiffness: bool = False) -> None:
         self.options = options
-        self.use_pi_controller = use_pi_controller
         self.abort_on_stiffness = abort_on_stiffness
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
@@ -97,82 +64,25 @@ class BatchDopri5:
               initial_states: np.ndarray | None = None) -> BatchSolveResult:
         options = self.options
         tableau = DOPRI5
-        t_eval = validate_time_grid(t_span, t_eval)
-        t0, t1 = float(t_span[0]), float(t_span[1])
+        loop = StepLoop(self, problem, t_span, t_eval, initial_states,
+                        tableau.order)
+        result, status = loop.result, loop.status
+        states, derivatives = loop.states, loop.derivatives
+        times, steps = loop.times, loop.steps
         batch = problem.batch_size
         n = problem.n_species
-        tracer = problem.tracer or NULL_TRACER
-        compile_span = tracer.start("compile", "phase",
-                                    parent=problem.trace_span,
-                                    solver=self.name, rows=batch)
-
-        states = (problem.initial_states() if initial_states is None
-                  else np.array(initial_states, dtype=np.float64))
-        result = allocate_result(t_eval, batch, n, self.method_code)
-        result.counters = problem.counters
-
-        times = np.full(batch, t0)
-        save_index = np.zeros(batch, dtype=np.int64)
-        if t_eval[0] == t0:
-            result.y[:, 0, :] = states
-            save_index[:] = 1
-
-        all_rows = np.arange(batch)
-        derivatives = problem.fun(times, states, all_rows)
-        if options.first_step is not None:
-            steps = np.full(batch, options.first_step)
-        else:
-            steps = _initial_steps(problem, t0, states, derivatives,
-                                   tableau.order, options, t1 - t0)
         previous_errors = np.full(batch, -1.0)  # <0: no PI memory yet
         error_exponent = -1.0 / (tableau.error_order + 1)
-        max_step = min(options.max_step, t1 - t0)
-        status = result.status_codes
         stiffness_strikes = np.zeros(batch, dtype=np.int64)
         nonstiff_streak = np.zeros(batch, dtype=np.int64)
+        loop.start()
 
-        # Simulations whose whole grid is already recorded.
-        status[save_index >= t_eval.size] = OK
-        tracer.end(compile_span)
-        loop_span = tracer.start("step-loop", "phase",
-                                 parent=problem.trace_span,
-                                 solver=self.name)
-
-        while True:
-            active = np.flatnonzero(status == RUNNING)
+        while (active := loop.active()).size:
+            t_act, h_act, hit = loop.clip(active)
+            active, t_act, h_act, hit = loop.drop_broken(active, t_act,
+                                                         h_act, hit)
             if active.size == 0:
-                break
-            exhausted = active[result.n_steps[active] >= options.max_steps]
-            if exhausted.size:
-                status[exhausted] = EXHAUSTED
-                active = np.flatnonzero(status == RUNNING)
-                if active.size == 0:
-                    break
-
-            t_act = times[active]
-            h_act = np.minimum(steps[active], t1 - t_act)
-            next_save = t_eval[np.minimum(save_index[active],
-                                          t_eval.size - 1)]
-            hit = t_act + h_act >= next_save - _EDGE * np.maximum(
-                1.0, np.abs(next_save))
-            h_act = np.where(hit, next_save - t_act, h_act)
-
-            # Non-finite steps (a NaN RHS poisoned the step heuristic or
-            # controller) can never recover — break those rows at once.
-            broken_step = ~np.isfinite(h_act) | \
-                (h_act <= np.abs(t_act) * 1e-15)
-            dead = active[broken_step]
-            if dead.size:
-                status[dead] = BROKEN
-                if problem.guard is not None:
-                    problem.guard.on_step_break(
-                        dead, problem.row_ids[dead], t_act[broken_step],
-                        h_act[broken_step], status)
-                keep = ~broken_step
-                active, t_act, h_act, hit = (active[keep], t_act[keep],
-                                             h_act[keep], hit[keep])
-                if active.size == 0:
-                    continue
+                continue
 
             result.n_steps[active] += 1
             y_act = states[active]
@@ -196,8 +106,8 @@ class BatchDopri5:
                     tableau.b, stage_k)
                 local_error = h_act[:, None] * _combine_stages(
                     tableau.e, stage_k)
-                err = _scaled_error_norms(local_error, y_act, y_new,
-                                          options)
+                err = scaled_error_norms(local_error, y_act, y_new,
+                                         options)
             finite = np.all(np.isfinite(y_new), axis=1)
             err = np.where(finite, err, np.inf)
 
@@ -205,7 +115,6 @@ class BatchDopri5:
             acc_rows = active[accepted]
             rej_rows = active[~accepted]
             result.n_accepted[acc_rows] += 1
-            result.n_rejected[rej_rows] += 1
 
             if acc_rows.size:
                 t_new = t_act[accepted] + h_act[accepted]
@@ -225,33 +134,23 @@ class BatchDopri5:
                         penultimate_states, stage_k, status,
                         stiffness_strikes, nonstiff_streak)
 
-                hits = np.flatnonzero(accepted & hit)
-                if hits.size:
-                    # Save from `states` (possibly guard-clamped), and
-                    # only for rows the guard left running.
-                    hit_rows = active[hits]
-                    hit_rows = hit_rows[status[hit_rows] == RUNNING]
-                    result.y[hit_rows, save_index[hit_rows], :] = \
-                        states[hit_rows]
-                    save_index[hit_rows] += 1
-                    status[hit_rows[save_index[hit_rows] >= t_eval.size]] = OK
+                # Save from `states`, possibly guard-clamped.
+                loop.record_saves(acc_rows[hit[accepted]], states)
 
                 err_acc = np.maximum(err[accepted], 1e-10)
-                factor = options.safety * err_acc ** error_exponent
-                if self.use_pi_controller:
-                    memory = previous_errors[acc_rows]
-                    has_memory = memory > 0.0
-                    pi_scale = np.where(
-                        has_memory,
-                        (np.maximum(memory, 1e-10) / err_acc) ** 0.04, 1.0)
-                    factor *= pi_scale
-                factor = np.clip(factor, options.min_step_factor,
-                                 options.max_step_factor)
+                memory = previous_errors[acc_rows]
+                pi_scale = np.where(
+                    memory > 0.0,
+                    (np.maximum(memory, 1e-10) / err_acc) ** 0.04, 1.0)
+                factor = np.clip(
+                    options.safety * err_acc ** error_exponent * pi_scale,
+                    options.min_step_factor, options.max_step_factor)
                 previous_errors[acc_rows] = err_acc
                 steps[acc_rows] = np.minimum(h_act[accepted] * factor,
-                                             max_step)
+                                             loop.max_step)
 
             if rej_rows.size:
+                result.n_rejected[rej_rows] += 1
                 err_rej = err[~accepted]
                 shrink = np.where(
                     np.isfinite(err_rej),
@@ -260,13 +159,7 @@ class BatchDopri5:
                     options.min_step_factor)
                 steps[rej_rows] = h_act[~accepted] * shrink
 
-        tracer.end(loop_span)
-        # Save points are recorded in-loop by per-sim step clipping, so
-        # the dense-output phase of this substrate is only the result
-        # hand-off; the span keeps the phase catalog uniform.
-        with tracer.span("dense-output", "phase",
-                         parent=problem.trace_span, solver=self.name):
-            return result
+        return loop.finish()
 
     @staticmethod
     def _stiffness_test(acc_rows, accepted, h_act, y_new, penultimate_states,

@@ -18,16 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend import xp
-from ..solvers.base import DEFAULT_OPTIONS, SolverOptions, validate_time_grid
+from ..solvers.base import DEFAULT_OPTIONS, SolverOptions
 from ..solvers.radau5 import (MU_COMPLEX, MU_REAL, RADAU_C, RADAU_E, RADAU_T,
                               RADAU_TI)
-from ..telemetry.tracer import NULL_TRACER
-from .batch_dopri5 import _initial_steps, _scaled_error_norms
-from .batch_result import (BROKEN, EXHAUSTED, METHOD_RADAU5, OK, RUNNING,
-                           BatchSolveResult, allocate_result)
+from .batch_loop import StepLoop, scaled_error_norms
+from .batch_result import METHOD_RADAU5, BatchSolveResult
 from .batched_ode import BatchedODEProblem
 
-_EDGE = 1e-12
 _TI_COMPLEX = RADAU_TI[1] + 1j * RADAU_TI[2]
 
 #: Inverse of the collocation Vandermonde basis (theta^(j+1) at the
@@ -51,41 +48,18 @@ class BatchRadau5:
               t_eval: np.ndarray | None = None,
               initial_states: np.ndarray | None = None) -> BatchSolveResult:
         options = self.options
-        t_eval = validate_time_grid(t_span, t_eval)
-        t0, t1 = float(t_span[0]), float(t_span[1])
-        batch = problem.batch_size
-        n = problem.n_species
-        identity = np.eye(n)
-        tracer = problem.tracer or NULL_TRACER
-        compile_span = tracer.start("compile", "phase",
-                                    parent=problem.trace_span,
-                                    solver=self.name, rows=batch)
-
         newton_tol = max(10.0 * np.finfo(float).eps / options.rtol,
                          min(options.newton_tol_factor, options.rtol ** 0.5))
         max_newton = options.newton_max_iterations
+        loop = StepLoop(self, problem, t_span, t_eval, initial_states, 5)
+        result, status = loop.result, loop.status
+        states, derivatives = loop.states, loop.derivatives
+        times, steps = loop.times, loop.steps
+        batch = problem.batch_size
+        n = problem.n_species
+        identity = np.eye(n)
 
-        states = (problem.initial_states() if initial_states is None
-                  else np.array(initial_states, dtype=np.float64))
-        result = allocate_result(t_eval, batch, n, self.method_code)
-        result.counters = problem.counters
-
-        times = np.full(batch, t0)
-        save_index = np.zeros(batch, dtype=np.int64)
-        if t_eval[0] == t0:
-            result.y[:, 0, :] = states
-            save_index[:] = 1
-
-        all_rows = np.arange(batch)
-        derivatives = problem.fun(times, states, all_rows)
-        if options.first_step is not None:
-            steps = np.full(batch, options.first_step)
-        else:
-            steps = _initial_steps(problem, t0, states, derivatives, 5,
-                                   options, t1 - t0)
-        max_step = min(options.max_step, t1 - t0)
-
-        jacobians = problem.jacobian(times, states, all_rows)
+        jacobians = problem.jacobian(times, states, loop.all_rows)
         jac_current = np.ones(batch, dtype=bool)
         inv_real = np.zeros((batch, n, n))
         inv_complex = np.zeros((batch, n, n), dtype=np.complex128)
@@ -96,46 +70,14 @@ class BatchRadau5:
         has_poly = np.zeros(batch, dtype=bool)
         h_previous = steps.copy()
         err_previous = np.full(batch, -1.0)
+        loop.start()
 
-        status = result.status_codes
-        status[save_index >= t_eval.size] = OK
-        tracer.end(compile_span)
-        loop_span = tracer.start("step-loop", "phase",
-                                 parent=problem.trace_span,
-                                 solver=self.name)
-
-        while True:
-            active = np.flatnonzero(status == RUNNING)
+        while (active := loop.active()).size:
+            t_act, h_act, hit = loop.clip(active)
+            active, t_act, h_act, hit = loop.drop_broken(active, t_act,
+                                                         h_act, hit)
             if active.size == 0:
-                break
-            exhausted = active[result.n_steps[active] >= options.max_steps]
-            if exhausted.size:
-                status[exhausted] = EXHAUSTED
-                active = np.flatnonzero(status == RUNNING)
-                if active.size == 0:
-                    break
-
-            t_act = times[active]
-            h_act = np.minimum(steps[active], t1 - t_act)
-            next_save = t_eval[np.minimum(save_index[active],
-                                          t_eval.size - 1)]
-            hit = t_act + h_act >= next_save - _EDGE * np.maximum(
-                1.0, np.abs(next_save))
-            h_act = np.where(hit, next_save - t_act, h_act)
-            underflow = (h_act <= np.abs(t_act) * 1e-15) | \
-                (h_act < 1e-300) | ~np.isfinite(h_act)
-            if np.any(underflow):
-                dead = active[underflow]
-                status[dead] = BROKEN
-                if problem.guard is not None:
-                    problem.guard.on_step_break(
-                        dead, problem.row_ids[dead], t_act[underflow],
-                        h_act[underflow], status)
-                keep = ~underflow
-                active, t_act, h_act, hit = (active[keep], t_act[keep],
-                                             h_act[keep], hit[keep])
-                if active.size == 0:
-                    continue
+                continue
             steps[active] = h_act
             result.n_steps[active] += 1
 
@@ -180,8 +122,8 @@ class BatchRadau5:
             y_new = y_conv + z[:, 2, :]
             stage_error = np.einsum("s,bsn->bn", RADAU_E, z) / h_conv[:, None]
             error = xp.batched_matvec(inv_real[conv_rows],
-                              derivatives[conv_rows] + stage_error)
-            err = _scaled_error_norms(error, y_conv, y_new, options)
+                                      derivatives[conv_rows] + stage_error)
+            err = scaled_error_norms(error, y_conv, y_new, options)
             needs_refinement = err >= 1.0
             if np.any(needs_refinement):
                 ref_local = np.flatnonzero(needs_refinement)
@@ -189,9 +131,9 @@ class BatchRadau5:
                 refined_f = problem.fun(t_conv[ref_local],
                                         y_conv[ref_local]
                                         + error[ref_local], ref_rows)
-                refined = xp.batched_matvec(inv_real[ref_rows],
-                                    refined_f + stage_error[ref_local])
-                err[ref_local] = _scaled_error_norms(
+                refined = xp.batched_matvec(
+                    inv_real[ref_rows], refined_f + stage_error[ref_local])
+                err[ref_local] = scaled_error_norms(
                     refined, y_conv[ref_local], y_new[ref_local], options)
 
             finite = np.all(np.isfinite(y_new), axis=1)
@@ -234,14 +176,7 @@ class BatchRadau5:
             has_poly[acc_rows] = True
             h_previous[acc_rows] = h_conv[acc_local]
 
-            hit_mask = hit[converged][acc_local]
-            hit_rows = acc_rows[hit_mask]
-            hit_rows = hit_rows[status[hit_rows] == RUNNING]
-            if hit_rows.size:
-                result.y[hit_rows, save_index[hit_rows], :] = \
-                    states[hit_rows]
-                save_index[hit_rows] += 1
-                status[hit_rows[save_index[hit_rows] >= t_eval.size]] = OK
+            loop.record_saves(acc_rows[hit[converged][acc_local]], states)
 
             err_acc = np.maximum(err[acc_local], 1e-10)
             factor = np.minimum(options.max_step_factor,
@@ -256,7 +191,7 @@ class BatchRadau5:
             factor = np.minimum(factor, predictive)
             factor = np.maximum(factor, options.min_step_factor)
             err_previous[acc_rows] = err_acc
-            h_new = np.minimum(h_conv[acc_local] * factor, max_step)
+            h_new = np.minimum(h_conv[acc_local] * factor, loop.max_step)
 
             if self.reuse_jacobian:
                 refresh_mask = (n_iter_conv[acc_local] > 2) & \
@@ -278,13 +213,7 @@ class BatchRadau5:
             steps[acc_rows] = np.where(significant, h_new,
                                        h_conv[acc_local])
 
-        tracer.end(loop_span)
-        # Save points are recorded in-loop (collocation interpolation at
-        # clipped steps); dense output proper does not exist on this
-        # substrate, so the phase only covers the result hand-off.
-        with tracer.span("dense-output", "phase",
-                         parent=problem.trace_span, solver=self.name):
-            return result
+        return loop.finish()
 
     # ------------------------------------------------------------------
 
@@ -367,10 +296,9 @@ class BatchRadau5:
             residual_complex = np.einsum("s,bsn->bn", _TI_COMPLEX,
                                          stage_derivatives) \
                 - (MU_COMPLEX / h_act[work])[:, None] * zeta
-            delta_real = xp.batched_matvec(inv_real[rows],
-                                   residual_real)
+            delta_real = xp.batched_matvec(inv_real[rows], residual_real)
             delta_complex = xp.batched_matvec(inv_complex[rows],
-                                      residual_complex)
+                                              residual_complex)
             delta = np.stack([delta_real, delta_complex.real,
                               delta_complex.imag], axis=1)
             transformed[work] += delta

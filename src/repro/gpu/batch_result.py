@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .batched_ode import KernelCounters
 
 #: Per-simulation integer status codes.
 RUNNING = 0
@@ -55,8 +53,6 @@ class BatchSolveResult:
         Shape (B,), which integrator produced each row.
     n_steps, n_accepted, n_rejected:
         Per-simulation step counters, each shape (B,).
-    counters:
-        Substrate-level kernel/work counters.
     elapsed_seconds:
         Wall-clock of the integration (filled by the engine).
     """
@@ -68,7 +64,6 @@ class BatchSolveResult:
     n_steps: np.ndarray
     n_accepted: np.ndarray
     n_rejected: np.ndarray
-    counters: KernelCounters = field(default_factory=KernelCounters)
     elapsed_seconds: float = 0.0
 
     @property
@@ -113,12 +108,6 @@ class BatchSolveResult:
         Used by the router and the retry ladder to splice per-method
         sub-batches back into the full batch. ``other`` must hold
         exactly ``rows.size`` simulations on the same time grid.
-
-        Counters are only merged when the two results do *not* already
-        share one substrate account: the engine threads a single
-        :class:`~repro.gpu.batched_ode.KernelCounters` through every
-        launch chunk and router subset, and merging an account into
-        itself would double-count all substrate work.
         """
         self.y[rows] = other.y
         self.status_codes[rows] = other.status_codes
@@ -126,11 +115,9 @@ class BatchSolveResult:
         self.n_steps[rows] = other.n_steps
         self.n_accepted[rows] = other.n_accepted
         self.n_rejected[rows] = other.n_rejected
-        if other.counters is not self.counters:
-            self.counters.merge(other.counters)
 
     def take_rows(self, rows: np.ndarray) -> "BatchSolveResult":
-        """Copy of a row subset (fresh, empty counter account)."""
+        """Copy of a row subset."""
         return BatchSolveResult(
             t=self.t.copy(),
             y=self.y[rows].copy(),

@@ -47,15 +47,6 @@ class KernelCounters:
     factorizations: int = 0
     newton_iterations: int = 0
 
-    def merge(self, other: "KernelCounters") -> None:
-        self.rhs_kernel_launches += other.rhs_kernel_launches
-        self.rhs_simulation_evaluations += other.rhs_simulation_evaluations
-        self.jacobian_kernel_launches += other.jacobian_kernel_launches
-        self.jacobian_simulation_evaluations += \
-            other.jacobian_simulation_evaluations
-        self.factorizations += other.factorizations
-        self.newton_iterations += other.newton_iterations
-
 
 @dataclass
 class BatchedODEProblem:

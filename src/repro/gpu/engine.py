@@ -31,6 +31,7 @@ from ..telemetry import clock
 from ..telemetry.calibration import LaunchCost
 from ..telemetry.metrics import MetricsRegistry
 from ..telemetry.tracer import SpanHandle, as_tracer
+from .batch_bdf import BatchBDF
 from .batch_dopri5 import BatchDopri5
 from .batch_radau5 import BatchRadau5
 from .batch_result import (BROKEN, GUARD, OK, STATUS_NAMES, BatchSolveResult,
@@ -41,7 +42,9 @@ from .perfmodel import (DeviceTimeEstimate, estimate_device_time,
                         memory_footprint_doubles)
 from .router import RoutingDecision, StiffnessRouter
 
-METHODS = ("auto", "dopri5", "radau5", "bdf")
+#: Integrator class of each fixed method (``"auto"`` routes per row).
+SOLVERS = {"dopri5": BatchDopri5, "radau5": BatchRadau5, "bdf": BatchBDF}
+METHODS = ("auto", *SOLVERS)
 
 
 @dataclass
@@ -203,13 +206,6 @@ class BatchSimulator:
         Optional parent span handle under which this simulate call's
         launch spans nest (the campaign runner passes its chunk span);
         ``None`` makes the launches trace roots.
-    cost_model:
-        Optional fitted :class:`~repro.telemetry.calibration.
-        CalibrationReport`. When present, ``"auto"`` routing may pick
-        BDF over Radau IIA for the implicit rung where the calibrated
-        per-row cost says it is cheaper. Predictions are *recorded*
-        on ``launch_costs`` either way — the model only changes
-        decisions, never measurements.
     """
 
     def __init__(self, model: ReactionBasedModel,
@@ -222,8 +218,7 @@ class BatchSimulator:
                  guard_config: GuardConfig | None = None,
                  memory_governor: MemoryGovernor | None = None,
                  tracer=None,
-                 trace_parent: SpanHandle | None = None,
-                 cost_model=None) -> None:
+                 trace_parent: SpanHandle | None = None) -> None:
         if method not in METHODS:
             raise SolverError(f"unknown method {method!r}; "
                               f"expected one of {METHODS}")
@@ -242,7 +237,6 @@ class BatchSimulator:
         self.memory_governor = memory_governor
         self.tracer = as_tracer(tracer)
         self.trace_parent = trace_parent
-        self.cost_model = cost_model
         self.last_report: EngineReport | None = None
 
     # ------------------------------------------------------------------
@@ -525,7 +519,6 @@ class BatchSimulator:
             return self._run_launch(problem, t_span, t_eval, report)
         merged = allocate_result(t_eval, problem.batch_size,
                                  problem.n_species, 0)
-        merged.counters = problem.counters
         for start, stop in plan.segments:
             rows = np.arange(start, stop)
             segment = self._run_launch(problem.subset(rows), t_span,
@@ -545,29 +538,15 @@ class BatchSimulator:
                     t_span: tuple[float, float], t_eval: np.ndarray,
                     report: EngineReport) -> BatchSolveResult:
         if self.method == "auto":
-            result, decision = StiffnessRouter(
-                self.options, cost_model=self.cost_model).solve(
-                    problem, t_span, t_eval)
+            result, decision = StiffnessRouter(self.options).solve(
+                problem, t_span, t_eval)
             report.routing.append(decision)
             return result
-        if self.method == "dopri5":
-            return BatchDopri5(self.options).solve(problem, t_span, t_eval)
-        if self.method == "bdf":
-            from .batch_bdf import BatchBDF
-            return BatchBDF(self.options).solve(problem, t_span, t_eval)
-        return BatchRadau5(self.options).solve(problem, t_span, t_eval)
+        return SOLVERS[self.method](self.options).solve(problem, t_span,
+                                                        t_eval)
 
     # ------------------------------------------------------------------
     # retry escalation + quarantine (the resilience layer)
-
-    @staticmethod
-    def _retry_solver(method: str, options: SolverOptions):
-        if method == "dopri5":
-            return BatchDopri5(options)
-        if method == "radau5":
-            return BatchRadau5(options)
-        from .batch_bdf import BatchBDF
-        return BatchBDF(options)
 
     def _retry_failed_rows(self, problem: BatchedODEProblem,
                            chunk: BatchSolveResult,
@@ -603,7 +582,7 @@ class BatchSimulator:
             if failed.size == 0:
                 break
             options = stage.derive_options(self.options)
-            solver = self._retry_solver(stage.method, options)
+            solver = SOLVERS[stage.method](options)
             subproblem = problem.subset(failed)
             rung_span = self.tracer.start(
                 f"rung-{rung + 1}", "rung", parent=launch_span,
@@ -656,6 +635,5 @@ class BatchSimulator:
                 [chunk.n_accepted for chunk in chunks]),
             n_rejected=np.concatenate(
                 [chunk.n_rejected for chunk in chunks]),
-            counters=chunks[0].counters,
         )
         return merged

@@ -11,7 +11,7 @@ paper family's fallback re-run of failed explicit simulations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,17 +43,12 @@ class RoutingDecision:
         :func:`repro.lint.model_rules.stiffness_risk_score`) classified
         the whole batch as safely non-stiff, so the power-iteration
         probe never ran.
-    stiff_method:
-        Implicit solver the stiff rows (and failed-row re-executions)
-        were sent to — ``"radau5"`` by default, ``"bdf"`` when a
-        calibrated cost model said BDF is cheaper for this bucket.
     """
 
     stiff_mask: np.ndarray
     spectral_radii: np.ndarray
     threshold: float
     probe_skipped: bool = False
-    stiff_method: str = "radau5"
 
     @property
     def n_stiff(self) -> int:
@@ -63,16 +58,14 @@ class RoutingDecision:
         return {"stiff_mask": [bool(v) for v in self.stiff_mask],
                 "spectral_radii": [float(v) for v in self.spectral_radii],
                 "threshold": float(self.threshold),
-                "probe_skipped": bool(self.probe_skipped),
-                "stiff_method": str(self.stiff_method)}
+                "probe_skipped": bool(self.probe_skipped)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "RoutingDecision":
         return cls(np.asarray(data["stiff_mask"], dtype=bool),
                    np.asarray(data["spectral_radii"], dtype=np.float64),
                    float(data["threshold"]),
-                   bool(data.get("probe_skipped", False)),
-                   str(data.get("stiff_method", "radau5")))
+                   bool(data.get("probe_skipped", False)))
 
 
 def classify_batch(problem: BatchedODEProblem, t0: float,
@@ -121,26 +114,10 @@ class StiffnessRouter:
 
     def __init__(self, options: SolverOptions = DEFAULT_OPTIONS,
                  retry_failed_with_radau: bool = True,
-                 use_static_prefilter: bool = True,
-                 cost_model=None) -> None:
+                 use_static_prefilter: bool = True) -> None:
         self.options = options
         self.retry_failed_with_radau = retry_failed_with_radau
         self.use_static_prefilter = use_static_prefilter
-        # Optional fitted CalibrationReport (or anything exposing
-        # ``preferred_stiff_method(rows, n_species)``): lets measured
-        # per-row cost pick the implicit rung instead of the Radau
-        # default. No model / no evidence -> behavior is unchanged.
-        self.cost_model = cost_model
-
-    def _implicit_solver(self, batch_size: int, n_species: int):
-        """Implicit solver class + name for this batch shape."""
-        if self.cost_model is not None:
-            preferred = self.cost_model.preferred_stiff_method(
-                batch_size, n_species)
-            if preferred == "bdf":
-                from .batch_bdf import BatchBDF
-                return BatchBDF, "bdf"
-        return BatchRadau5, "radau5"
 
     def solve(self, problem: BatchedODEProblem, t_span: tuple[float, float],
               t_eval: np.ndarray | None = None,
@@ -163,13 +140,9 @@ class StiffnessRouter:
         t_eval = np.asarray(t_eval, dtype=np.float64)
         merged = allocate_result(t_eval, batch, problem.n_species,
                                  METHOD_DOPRI5)
-        merged.counters = problem.counters
 
         nonstiff_rows = np.flatnonzero(~decision.stiff_mask)
         stiff_rows = np.flatnonzero(decision.stiff_mask)
-        implicit_cls, stiff_method = self._implicit_solver(
-            batch, problem.n_species)
-        decision = replace(decision, stiff_method=stiff_method)
 
         if nonstiff_rows.size:
             explicit = BatchDopri5(
@@ -181,12 +154,12 @@ class StiffnessRouter:
             if self.retry_failed_with_radau:
                 failed_rows = nonstiff_rows[explicit.status_codes != OK]
                 if failed_rows.size:
-                    retried = implicit_cls(self.options).solve(
+                    retried = BatchRadau5(self.options).solve(
                         problem.subset(failed_rows), t_span, t_eval,
                         states[failed_rows])
                     self._splice(merged, retried, failed_rows)
         if stiff_rows.size:
-            implicit = implicit_cls(self.options).solve(
+            implicit = BatchRadau5(self.options).solve(
                 problem.subset(stiff_rows), t_span, t_eval,
                 states[stiff_rows])
             self._splice(merged, implicit, stiff_rows)

@@ -1,6 +1,6 @@
 """Perfmodel calibration: predicted vs observed launch costs.
 
-The admission controller and the router make decisions from
+The admission controller makes decisions from
 :mod:`repro.gpu.perfmodel` *predictions* (device seconds, working-set
 doubles) that nothing ever checks against reality. This module closes
 the loop: every launch records a :class:`LaunchCost` — the modeled
@@ -13,8 +13,6 @@ opt-in hook:
 
 * admission — :meth:`CalibrationReport.calibrated_doubles` rescales
   the working-set estimate behind ``WorkingSetExceeded``;
-* routing — :meth:`CalibrationReport.preferred_stiff_method` picks
-  the implicit rung (Radau IIA vs BDF) by measured per-row cost;
 * estimates — :meth:`CalibrationReport.calibrated_seconds` corrects
   any perfmodel time prediction.
 
@@ -40,9 +38,6 @@ SCHEMA_VERSION = 1
 #: Per-bucket sample cap: the first N launches of a bucket are kept
 #: (deterministic under replay), later ones only bump the count.
 MAX_SAMPLES_PER_BUCKET = 512
-
-#: Implicit methods the router can choose between when calibrated.
-_STIFF_METHODS = ("radau5", "bdf")
 
 
 def bucket_exponent(value: int) -> int:
@@ -313,22 +308,6 @@ class CalibrationReport:
         corrected = predicted_doubles * self.ws_correction(method, rows,
                                                            n_species)
         return max(1, int(round(corrected)))
-
-    def preferred_stiff_method(self, rows: int,
-                               n_species: int) -> str | None:
-        """Cheapest implicit rung by measured per-row seconds.
-
-        Returns ``None`` unless *both* implicit methods have measured
-        buckets — no evidence, no deviation from the Radau default.
-        """
-        costs = {}
-        for method in _STIFF_METHODS:
-            bucket = self.lookup(method, rows, n_species)
-            if bucket is not None and bucket.seconds_per_row > 0.0:
-                costs[method] = bucket.seconds_per_row
-        if len(costs) < len(_STIFF_METHODS):
-            return None
-        return min(sorted(costs), key=lambda method: costs[method])
 
     # -- drift / quality -----------------------------------------------
 

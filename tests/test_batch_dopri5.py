@@ -63,21 +63,6 @@ class TestBatchSemantics:
         assert result.y.shape == (5, 7, model.n_species)
         assert not np.any(np.isnan(result.y))
 
-    def test_grid_without_t0(self):
-        model = decay_chain(2)
-        problem, _ = make_problem(model, 3)
-        grid = np.array([1.0, 2.0])
-        result = BatchDopri5().solve(problem, (0, 2), grid)
-        assert result.all_success
-        assert result.y.shape[1] == 2
-
-    def test_max_steps_marks_exhausted(self):
-        model = lotka_volterra()
-        problem, _ = make_problem(model, 3)
-        result = BatchDopri5(SolverOptions(max_steps=3)).solve(
-            problem, (0, 50), np.array([0.0, 50.0]))
-        assert np.all(result.status_codes == EXHAUSTED)
-
     def test_initial_state_override(self):
         model = decay_chain(2)
         problem, batch = make_problem(model, 3)

@@ -6,7 +6,7 @@ import pytest
 from repro.backend import xp
 from repro.errors import SolverError
 from repro.gpu import (BatchBDF, BatchDopri5, BatchRadau5,
-                       BatchedODEProblem, KernelCounters)
+                       BatchedODEProblem)
 from repro.model import ODESystem, perturbed_batch
 from repro.models import decay_chain, robertson
 from repro.solvers import SolverOptions
@@ -73,19 +73,6 @@ class TestCounters:
         problem.jacobian(np.zeros(6), states, np.arange(6))
         assert problem.counters.jacobian_kernel_launches == 1
         assert problem.counters.jacobian_simulation_evaluations == 6
-
-    def test_merge(self):
-        first = KernelCounters(rhs_kernel_launches=1,
-                               rhs_simulation_evaluations=10,
-                               factorizations=2)
-        second = KernelCounters(rhs_kernel_launches=3,
-                                rhs_simulation_evaluations=5,
-                                newton_iterations=7)
-        first.merge(second)
-        assert first.rhs_kernel_launches == 4
-        assert first.rhs_simulation_evaluations == 15
-        assert first.factorizations == 2
-        assert first.newton_iterations == 7
 
 
 class TestBatchedLinearAlgebra:

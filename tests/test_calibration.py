@@ -1,5 +1,5 @@
 """Perfmodel calibration: launch-cost records, table fitting, the
-report's admission/routing hooks, and the ``repro calibrate`` CLI."""
+report's admission hook, and the ``repro calibrate`` CLI."""
 
 import asyncio
 import json
@@ -10,15 +10,14 @@ import pytest
 
 from repro.cli import main
 from repro.errors import TelemetryError, WorkingSetExceeded
-from repro.gpu import BatchSimulator, BatchedODEProblem, StiffnessRouter
+from repro.gpu import BatchSimulator
 from repro.gpu.engine import EngineReport
 from repro.gpu.perfmodel import memory_footprint_doubles
 from repro.io import write_model
-from repro.model import ODESystem, perturbed_batch
-from repro.models import lotka_volterra, robertson
+from repro.model import perturbed_batch
+from repro.models import lotka_volterra
 from repro.service import (CampaignService, JobRequest, ServiceConfig,
                            TenantQuota)
-from repro.solvers import SolverOptions
 from repro.telemetry import CalibrationReport, CalibrationTable
 from repro.telemetry.calibration import (MAX_SAMPLES_PER_BUCKET,
                                          BucketCalibration, LaunchCost,
@@ -142,15 +141,6 @@ class TestCalibrationReport:
         assert report.calibrated_doubles(100, "auto", 8, 4) == 200
         assert report.calibrated_doubles(0, "auto", 8, 4) == 1
 
-    def test_preferred_stiff_method_needs_both_rungs(self):
-        report = self.make_report()
-        assert report.preferred_stiff_method(8, 4) == "bdf"
-        radau_only = CalibrationReport(buckets=(
-            BucketCalibration("radau5", 3, 3, 16, 1.0, 1.0, 0.05,
-                              0.2, 0.1),))
-        assert radau_only.preferred_stiff_method(8, 4) is None
-        assert CalibrationReport().preferred_stiff_method(8, 4) is None
-
     def test_save_load_round_trip(self, tmp_path):
         report = self.make_report()
         path = report.save(tmp_path / "calib.json")
@@ -211,63 +201,6 @@ class TestEngineLaunchCosts:
         # The stock perfmodel is scaled for a GPU, not this host: the
         # fit must shrink the median |log error| at least 2x.
         assert report.error_reduction() >= 2.0
-
-
-class _PreferBDF:
-    def preferred_stiff_method(self, rows, n_species):
-        return "bdf"
-
-
-class _NoEvidence:
-    def preferred_stiff_method(self, rows, n_species):
-        return None
-
-
-def stiff_problem(batch_size=4):
-    model = robertson()
-    batch = perturbed_batch(model.nominal_parameterization(), batch_size,
-                            np.random.default_rng(0))
-    return BatchedODEProblem(ODESystem.from_model(model), batch)
-
-
-class TestCalibratedRouting:
-    OPTIONS = SolverOptions(max_steps=100_000)
-    GRID = np.array([0.0, 1.0e3])
-
-    def test_default_stiff_rung_is_radau(self):
-        router = StiffnessRouter(self.OPTIONS,
-                                 cost_model=_NoEvidence())
-        result, decision = router.solve(stiff_problem(), (0, 1e3),
-                                        self.GRID)
-        assert result.all_success
-        assert decision.stiff_method == "radau5"
-        assert set(result.methods()) == {"radau5"}
-
-    def test_calibrated_preference_switches_to_bdf(self):
-        router = StiffnessRouter(self.OPTIONS, cost_model=_PreferBDF())
-        result, decision = router.solve(stiff_problem(), (0, 1e3),
-                                        self.GRID)
-        assert result.all_success
-        assert decision.stiff_method == "bdf"
-        assert set(result.methods()) == {"bdf"}
-
-    def test_engine_threads_cost_model_through(self):
-        model = robertson()
-        batch = perturbed_batch(model.nominal_parameterization(), 2,
-                                np.random.default_rng(0))
-        simulator = BatchSimulator(model, method="auto",
-                                   options=self.OPTIONS,
-                                   cost_model=_PreferBDF())
-        result = simulator.simulate((0.0, 1.0e3), self.GRID, batch)
-        assert result.all_success
-        assert "bdf" in set(result.methods())
-
-    def test_decision_round_trip_keeps_stiff_method(self):
-        router = StiffnessRouter(self.OPTIONS, cost_model=_PreferBDF())
-        _result, decision = router.solve(stiff_problem(), (0, 1e3),
-                                         self.GRID)
-        restored = type(decision).from_dict(decision.to_dict())
-        assert restored.stiff_method == "bdf"
 
 
 class TestCalibratedAdmission:

@@ -31,7 +31,8 @@ class TestSelfGate:
         report = lint_deep()
         covered = set(report.metadata["files"])
         for expected in ("gpu/batch_dopri5.py", "gpu/batch_radau5.py",
-                         "gpu/batch_bdf.py", "gpu/engine.py",
+                         "gpu/batch_bdf.py", "gpu/batch_loop.py",
+                         "gpu/engine.py",
                          "gpu/batch_result.py", "resilience/campaign.py",
                          "resilience/faults.py", "io/checkpoint.py",
                          "errors.py"):

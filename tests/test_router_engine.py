@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import SolverError
-from repro.gpu import (BatchSimulator, BatchedODEProblem, StiffnessRouter,
-                       classify_batch)
+from repro.gpu import (BatchSimulator, BatchedODEProblem, RoutingDecision,
+                       StiffnessRouter, classify_batch)
 from repro.model import ODESystem, ParameterizationBatch, perturbed_batch
 from repro.models import decay_chain, robertson
 from repro.solvers import SolverOptions
@@ -40,6 +40,14 @@ class TestClassification:
         problem = make_problem(decay_chain(3))
         decision = classify_batch(problem, 0.0, threshold=1e-9)
         assert decision.n_stiff == problem.batch_size
+
+    def test_from_dict_ignores_the_retired_stiff_method_key(self):
+        decision = classify_batch(make_problem(decay_chain(3)), 0.0,
+                                  threshold=1e-9)
+        payload = decision.to_dict()
+        payload["stiff_method"] = "bdf"  # written by older releases
+        restored = RoutingDecision.from_dict(payload)
+        assert restored.to_dict() == decision.to_dict()
 
 
 class TestStaticPrefilter:

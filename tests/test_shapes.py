@@ -48,7 +48,8 @@ class TestSelfGate:
         report = lint_shapes()
         covered = set(report.metadata["files"])
         for expected in ("gpu/batch_dopri5.py", "gpu/batch_radau5.py",
-                         "gpu/batch_bdf.py", "gpu/engine.py",
+                         "gpu/batch_bdf.py", "gpu/batch_loop.py",
+                         "gpu/engine.py",
                          "gpu/batched_ode.py", "gpu/router.py",
                          "solvers/stiffness.py"):
             assert expected in covered
