@@ -52,10 +52,6 @@ class LaunchPlan:
         return self.n_splits > 0
 
     @property
-    def n_segments(self) -> int:
-        return len(self.segments)
-
-    @property
     def segment_rows(self) -> int:
         """Widest segment of the plan."""
         return max(stop - start for start, stop in self.segments)

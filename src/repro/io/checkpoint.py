@@ -99,9 +99,6 @@ class CampaignCheckpoint:
     def has_chunk(self, index: int) -> bool:
         return index in self.chunks and self.chunk_file(index).is_file()
 
-    def completed_indices(self) -> list[int]:
-        return sorted(self.chunks)
-
     def save_chunk(self, index: int, result: BatchSolveResult,
                    quarantine: list[dict] | None = None) -> None:
         """Persist one completed chunk and journal it durably."""

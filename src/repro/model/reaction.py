@@ -77,9 +77,6 @@ class Reaction:
         """All species appearing on either side."""
         return set(self.reactants) | set(self.products)
 
-    def is_reactant(self, name: str) -> bool:
-        return name in self.reactants
-
     def net_change(self, name: str) -> int:
         """Net stoichiometric change (b - a) for one species."""
         return self.products.get(name, 0) - self.reactants.get(name, 0)

@@ -34,6 +34,7 @@ from ..telemetry.tracer import as_tracer
 from .faults import FaultPlan
 from .policy import RetryPolicy
 from .quarantine import QuarantineLog
+from .worker import WorkerSpec
 
 
 @dataclass(frozen=True)
@@ -277,218 +278,288 @@ def run_campaign(model, t_span: tuple[float, float],
                                  t_span, t_eval, engine, options,
                                  retry_policy))
 
-    merged = allocate_result(t_eval, batch.size, model.n_species,
-                             METHOD_DOPRI5)
-    quarantine = QuarantineLog()
-    metrics = MetricsRegistry()
-    completed = resumed = executed = 0
-    deadline_hit = degraded = cancelled = False
+    spec = WorkerSpec(model=model, t_span=t_span, t_eval=t_eval,
+                      engine=engine, options=options,
+                      retry_policy=retry_policy, fault_plan=fault_plan,
+                      heartbeat_interval=config.heartbeat_interval,
+                      engine_kwargs=dict(engine_kwargs))
     tracer = as_tracer(telemetry)
     campaign_span = tracer.start("campaign", "campaign",
                                  parent=trace_parent, model=model.name,
                                  batch=int(batch.size),
                                  chunks=int(total_chunks))
-    started = clock.monotonic()
+    journal = ChunkJournal(spec, batch, config, checkpoint, tracer,
+                           campaign_span, chunk_gate, cancel_event)
 
-    # Pass 1 — resume everything the journal already holds (cheap, no
-    # integration), leaving a work-list of chunks still to execute.
-    remaining: list[tuple[int, int, int]] = []
-    for index in range(total_chunks):
-        start = index * config.chunk_size
-        stop = min(start + config.chunk_size, batch.size)
-        if checkpoint is None or not checkpoint.has_chunk(index):
-            remaining.append((index, start, stop))
-            continue
-        rows = np.arange(start, stop)
-        chunk_result, quarantine_dicts = checkpoint.load_chunk(index)
-        _check_chunk_shape(chunk_result, rows.size, t_eval, index)
-        quarantine.merge(QuarantineLog.from_dicts(quarantine_dicts))
-        chunk_metrics = checkpoint.get_payload(f"metrics-{index}")
-        if chunk_metrics is not None:
-            metrics.merge(MetricsRegistry.from_dict(chunk_metrics))
-        merged.merge_rows(chunk_result, rows)
-        completed += 1
-        resumed += 1
-        metrics.count("campaign.chunks.resumed")
-
-    # Pass 2 — execute the work-list: supervised worker pool when
-    # configured, the in-process serial loop otherwise.
+    # Pass 1 resumes everything the journal already holds (cheap, no
+    # integration); pass 2 executes the rest on the supervised worker
+    # pool when configured, on the in-process serial loop otherwise.
+    remaining = journal.resume()
+    outcome = None
     if config.workers > 0 and remaining:
         from .executor import run_sharded
-        from .worker import WorkerSpec
-        spec = WorkerSpec(model=model, t_span=t_span, t_eval=t_eval,
-                          engine=engine, options=options,
-                          retry_policy=retry_policy,
-                          fault_plan=fault_plan,
-                          heartbeat_interval=config.heartbeat_interval,
-                          engine_kwargs=dict(engine_kwargs))
-        outcome = run_sharded(spec, batch, config, fault_plan, remaining,
-                              checkpoint, merged, model.n_species, t_eval,
-                              started, completed, tracer, campaign_span,
-                              chunk_gate=chunk_gate,
-                              cancel_event=cancel_event)
-        for index in sorted(outcome.chunk_quarantines):
-            quarantine.merge(outcome.chunk_quarantines[index],
-                             row_offset=index * config.chunk_size)
-        for index in sorted(outcome.chunk_metrics):
-            chunk_metrics = outcome.chunk_metrics[index]
-            if chunk_metrics is not None:
-                metrics.merge(chunk_metrics)
-        metrics.merge(outcome.metrics)
-        executed = outcome.executed
-        completed += outcome.executed
-        deadline_hit = outcome.deadline_hit
-        degraded = outcome.degraded
-        cancelled = outcome.cancelled
-        if executed:
-            metrics.count("campaign.chunks.executed", executed)
+        outcome = run_sharded(journal, remaining)
     else:
-        min_chunk_seconds: float | None = None
-        for index, start, stop in remaining:
-            rows = np.arange(start, stop)
-            now = clock.monotonic()
-            if cancel_event is not None and cancel_event.is_set():
-                cancelled = True
-                break
-            if _deadline_exceeded(config, fault_plan, started, executed,
-                                  now):
-                deadline_hit = True
-                break
-            # Predictive budget check: even with wall-clock budget left,
-            # starting a chunk the fastest chunk so far could not finish
-            # within would only burn time past the deadline — skip
-            # straight to the incomplete result instead.
-            if config.deadline_seconds is not None and \
-                    min_chunk_seconds is not None and \
-                    config.deadline_seconds - (now - started) \
-                    < min_chunk_seconds:
-                deadline_hit = True
-                break
-            if fault_plan is not None and \
-                    fault_plan.crash_after_launches is not None and \
-                    executed >= fault_plan.crash_after_launches:
-                raise CampaignInterrupted(
-                    f"injected crash before campaign chunk {index}",
-                    checkpoint_path=(None if checkpoint is None
-                                     else checkpoint.path),
-                    completed_chunks=completed)
-
-            if chunk_gate is not None:
-                if not chunk_gate.acquire(int(rows.size), cancel_event):
-                    cancelled = True
-                    break
-                # The gate may have blocked for a while; restart the
-                # chunk timer so the wait is not billed as compute.
-                now = clock.monotonic()
-            chunk_plan = (None if fault_plan is None
-                          else fault_plan.for_chunk(index, start, stop))
-            chunk_span = tracer.start(f"chunk-{index}", "chunk",
-                                      parent=campaign_span,
-                                      rows=int(rows.size))
-            try:
-                chunk_result, chunk_quarantine, report = _run_chunk(
-                    model, batch.subset(rows), t_span, t_eval, engine,
-                    options, retry_policy, chunk_plan, engine_kwargs,
-                    tracer, chunk_span)
-            except KeyboardInterrupt:
-                raise CampaignInterrupted(
-                    f"campaign interrupted during chunk {index}; "
-                    f"{completed} chunk(s) already journaled",
-                    checkpoint_path=(None if checkpoint is None
-                                     else checkpoint.path),
-                    completed_chunks=completed) from None
-            finally:
-                if chunk_gate is not None:
-                    chunk_gate.release(int(rows.size))
-            tracer.end(chunk_span)
-            quarantine.merge(chunk_quarantine, row_offset=start)
-            if report is not None:
-                metrics.merge(report.metrics)
-            if checkpoint is not None:
-                shifted = QuarantineLog()
-                shifted.merge(chunk_quarantine, row_offset=start)
-                checkpoint.save_chunk(index, chunk_result,
-                                      shifted.to_dicts())
-                if report is not None:
-                    checkpoint.set_payload(f"metrics-{index}",
-                                           report.metrics.to_dict())
-            # Flush spans only after the chunk is journaled: the trace
-            # file and the journal lose exactly the same chunk on a
-            # crash.
-            tracer.flush()
-            merged.merge_rows(chunk_result, rows)
-            completed += 1
-            executed += 1
-            metrics.count("campaign.chunks.executed")
-            after = clock.monotonic()
-            duration = after - now
-            if min_chunk_seconds is None or duration < min_chunk_seconds:
-                min_chunk_seconds = duration
-            # Post-chunk wall-clock check: a chunk that overshot the
-            # deadline mid-flight must mark the result, not wait for
-            # the next pre-chunk check that may never come.
-            if config.deadline_seconds is not None and \
-                    after - started > config.deadline_seconds \
-                    and completed < total_chunks:
-                deadline_hit = True
-                break
+        journal.run_serial(remaining)
+    quarantine, metrics = journal.fold()
+    degraded = outcome is not None and outcome.degraded
+    if outcome is not None:
+        metrics.merge(outcome.metrics)
 
     # Unstarted rows stay NaN/'running': nothing was integrated, so they
     # must not masquerade as failures of the dynamics.
-    incomplete = completed < total_chunks
-    merged.elapsed_seconds = clock.monotonic() - started
-    if completed == total_chunks and executed:
+    merged = journal.merged
+    completed = journal.completed
+    merged.elapsed_seconds = clock.monotonic() - journal.started
+    if completed == total_chunks and journal.executed:
         # The campaign root is written only once, by the run that
         # finishes the final chunk — a crashed run never flushes its
         # root, so the resume's root adopts the earlier chunk spans.
         # A fully-resumed run executed nothing and emits nothing:
         # re-running a completed campaign leaves the trace unchanged
         # instead of appending a duplicate root.
-        tracer.end(campaign_span, degraded=bool(degraded),
-                   deadline_hit=bool(deadline_hit),
-                   cancelled=bool(cancelled),
+        tracer.end(campaign_span, degraded=degraded,
+                   deadline_hit=journal.deadline_hit,
+                   cancelled=journal.cancelled,
                    quarantined=len(quarantine))
         tracer.flush()
-    return CampaignResult(merged, incomplete, deadline_hit, completed,
-                          total_chunks, resumed, quarantine,
+    return CampaignResult(merged, completed < total_chunks,
+                          journal.deadline_hit, completed, total_chunks,
+                          journal.resumed, quarantine,
                           None if checkpoint is None else checkpoint.path,
-                          metrics, degraded, cancelled)
+                          metrics, degraded, journal.cancelled)
 
 
 # ----------------------------------------------------------------------
 
 
-def _deadline_exceeded(config: CampaignConfig,
-                       fault_plan: FaultPlan | None, started: float,
-                       executed: int, now: float | None = None) -> bool:
-    if now is None:
-        now = clock.monotonic()
-    if config.deadline_seconds is not None and \
-            now - started > config.deadline_seconds:
-        return True
-    return (fault_plan is not None
-            and fault_plan.deadline_after_chunks is not None
-            and executed >= fault_plan.deadline_after_chunks)
+class ChunkJournal:
+    """The chunk lifecycle of one campaign, shared by every path.
+
+    The resume pass absorbs journaled chunks (:meth:`absorb`); the
+    serial loop (:meth:`run_serial`) and the shard supervisor
+    (:mod:`repro.resilience.executor`) commit executed ones
+    (:meth:`commit`); :meth:`fold` gathers their quarantine and metrics
+    in chunk-index order. Serial, sharded, degraded and resumed runs
+    therefore journal, merge and report through one code path, and
+    consult one stop check (:meth:`should_stop`) between chunks.
+    """
+
+    def __init__(self, spec: WorkerSpec, batch, config: CampaignConfig,
+                 checkpoint, tracer, span, chunk_gate=None,
+                 cancel_event=None) -> None:
+        self.spec = spec
+        self.batch = batch
+        self.config = config
+        self.checkpoint = checkpoint
+        self.tracer = tracer
+        self.span = span
+        self.chunk_gate = chunk_gate
+        self.cancel_event = cancel_event
+        self.total = -(-batch.size // config.chunk_size)
+        self.merged = allocate_result(spec.t_eval, batch.size,
+                                      spec.model.n_species, METHOD_DOPRI5)
+        self.resumed = self.executed = 0
+        self.deadline_hit = self.cancelled = False
+        #: chunk index -> (campaign-space quarantine, metrics or None)
+        self._folds: dict[int, tuple] = {}
+        self.started = clock.monotonic()
+
+    @property
+    def completed(self) -> int:
+        return self.resumed + self.executed
+
+    def bounds(self, index: int) -> tuple[int, int]:
+        start = index * self.config.chunk_size
+        return start, min(start + self.config.chunk_size, self.batch.size)
+
+    def span_name(self, index: int, start: int, stop: int) -> str:
+        """``chunk-<i>``, or ``chunk-<i>[a:b]`` for a split piece."""
+        chunk_start, chunk_stop = self.bounds(index)
+        if (start, stop) == (chunk_start, chunk_stop):
+            return f"chunk-{index}"
+        return f"chunk-{index}[{start - chunk_start}:{stop - chunk_start}]"
+
+    def interrupted(self, message: str) -> CampaignInterrupted:
+        return CampaignInterrupted(
+            message, completed_chunks=self.completed,
+            checkpoint_path=(None if self.checkpoint is None
+                             else self.checkpoint.path))
+
+    # -- the chunk lifecycle ---------------------------------------------
+
+    def resume(self) -> list[tuple[int, int, int]]:
+        """Absorb every journaled chunk; return the ``(index, start,
+        stop)`` work-list of the chunks still to execute."""
+        remaining = []
+        for index in range(self.total):
+            start, stop = self.bounds(index)
+            if self.checkpoint is not None \
+                    and self.checkpoint.has_chunk(index):
+                self.absorb(index, start, stop)
+            else:
+                remaining.append((index, start, stop))
+        return remaining
+
+    def absorb(self, index: int, start: int, stop: int) -> None:
+        """Merge one journaled chunk and its metrics payload."""
+        chunk_result, quarantine_dicts = self.checkpoint.load_chunk(index)
+        _check_chunk_shape(chunk_result, stop - start, self.spec.t_eval,
+                           index)
+        payload = self.checkpoint.get_payload(f"metrics-{index}")
+        self._folds[index] = (
+            QuarantineLog.from_dicts(quarantine_dicts),
+            None if payload is None else MetricsRegistry.from_dict(payload))
+        self.merged.merge_rows(chunk_result, np.arange(start, stop))
+        self.resumed += 1
+
+    def commit(self, index: int, start: int, stop: int,
+               chunk_result: BatchSolveResult, quarantine: QuarantineLog,
+               metrics: MetricsRegistry | None) -> None:
+        """Journal and merge one executed chunk (quarantine rows local
+        to the chunk; ``metrics`` is ``None`` for engines without)."""
+        shifted = QuarantineLog()
+        shifted.merge(quarantine, row_offset=start)
+        if self.checkpoint is not None:
+            self.checkpoint.save_chunk(index, chunk_result,
+                                       shifted.to_dicts())
+            if metrics is not None:
+                self.checkpoint.set_payload(f"metrics-{index}",
+                                            metrics.to_dict())
+        # Flush spans only after the chunk is journaled: the trace file
+        # and the journal lose exactly the same chunk on a crash.
+        self.tracer.flush()
+        self.merged.merge_rows(chunk_result, np.arange(start, stop))
+        self._folds[index] = (shifted, metrics)
+        self.executed += 1
+
+    def fold(self) -> tuple[QuarantineLog, MetricsRegistry]:
+        """Campaign quarantine and metrics, folded in chunk-index order."""
+        quarantine, metrics = QuarantineLog(), MetricsRegistry()
+        for index in sorted(self._folds):
+            chunk_quarantine, chunk_metrics = self._folds[index]
+            quarantine.merge(chunk_quarantine)
+            if chunk_metrics is not None:
+                metrics.merge(chunk_metrics)
+        if self.resumed:
+            metrics.count("campaign.chunks.resumed", self.resumed)
+        if self.executed:
+            metrics.count("campaign.chunks.executed", self.executed)
+        return quarantine, metrics
+
+    # -- execution -------------------------------------------------------
+
+    def should_stop(self, now: float,
+                    min_chunk_seconds: float | None = None) -> bool:
+        """Whether to start no further chunk (flags the reason).
+
+        Stops on a cooperative cancel, on the wall-clock or injected
+        (``FaultPlan.deadline_after_chunks``) deadline, and — given the
+        fastest chunk so far — when the budget left could not fit even
+        that chunk. Raises :class:`~repro.errors.CampaignInterrupted` on
+        an injected crash.
+        """
+        deadline = self.config.deadline_seconds
+        plan = self.spec.fault_plan
+        if self.cancel_event is not None and self.cancel_event.is_set():
+            self.cancelled = True
+        elif deadline is not None and (
+                now - self.started > deadline
+                or (min_chunk_seconds is not None
+                    and deadline - (now - self.started)
+                    < min_chunk_seconds)):
+            self.deadline_hit = True
+        elif plan is not None and plan.deadline_after_chunks is not None \
+                and self.executed >= plan.deadline_after_chunks:
+            self.deadline_hit = True
+        elif plan is not None and plan.crash_after_launches is not None \
+                and self.executed >= plan.crash_after_launches:
+            raise self.interrupted(
+                f"injected crash after {self.executed} executed chunk(s)")
+        return self.cancelled or self.deadline_hit
+
+    def run_serial(self, tasks, on_piece=None, degraded: bool = False):
+        """Execute ``(index, start, stop)`` tasks in-process, in order.
+
+        Every task passes :meth:`should_stop` (with the predictive
+        budget check) and the chunk gate first, and the wall clock is
+        checked again after it. A finished task goes to ``on_piece``
+        (default :meth:`commit`); the shard supervisor's degraded
+        fallback passes its piece assembler instead, and its pieces run
+        engine-untraced, like the worker attempts they replace.
+        """
+        on_piece = self.commit if on_piece is None else on_piece
+        extra = {"degraded": True} if degraded else {}
+        engine_tracer = None if degraded else self.tracer
+        min_chunk_seconds: float | None = None
+        for index, start, stop in tasks:
+            width = stop - start
+            now = clock.monotonic()
+            if self.should_stop(now, min_chunk_seconds):
+                return
+            if self.chunk_gate is not None:
+                if not self.chunk_gate.acquire(width, self.cancel_event):
+                    self.cancelled = True
+                    return
+                # The gate may have blocked for a while; restart the
+                # chunk timer so the wait is not billed as compute.
+                now = clock.monotonic()
+            span = self.tracer.start(self.span_name(index, start, stop),
+                                     "chunk", parent=self.span, rows=width,
+                                     **extra)
+            try:
+                piece = _run_chunk(self.spec, self.batch, index, start,
+                                   stop, engine_tracer, span)
+            except KeyboardInterrupt:
+                raise self.interrupted(
+                    f"campaign interrupted during chunk {index}; "
+                    f"{self.completed} chunk(s) already journaled") \
+                    from None
+            finally:
+                if self.chunk_gate is not None:
+                    self.chunk_gate.release(width)
+            self.tracer.end(span, **({"outcome": "done"} if degraded
+                                     else {}))
+            on_piece(index, start, stop, *piece)
+            after = clock.monotonic()
+            if min_chunk_seconds is None or after - now < min_chunk_seconds:
+                min_chunk_seconds = after - now
+            # Post-chunk wall-clock check: a chunk that overshot the
+            # deadline mid-flight must mark the result, not wait for
+            # the next pre-chunk check that may never come.
+            if self.config.deadline_seconds is not None and \
+                    after - self.started > self.config.deadline_seconds \
+                    and self.completed < self.total:
+                self.deadline_hit = True
+                return
 
 
-def _run_chunk(model, sub_batch, t_span, t_eval, engine, options,
-               retry_policy, chunk_plan, engine_kwargs, tracer=None,
-               chunk_span=None):
+def _run_chunk(spec: WorkerSpec, batch, index: int, start: int, stop: int,
+               tracer=None, span=None):
+    """Integrate rows ``[start, stop)`` of chunk ``index``.
+
+    The one chunk function of the serial loop, its degraded-pool use and
+    the worker processes. Returns ``(BatchSolveResult, QuarantineLog,
+    MetricsRegistry | None)`` with quarantine rows local to the piece.
+    """
     from ..core.simulate import simulate
 
-    kwargs = dict(engine_kwargs)
-    if engine == "batched":
-        kwargs["retry_policy"] = retry_policy
-        kwargs["fault_plan"] = chunk_plan
+    kwargs = dict(spec.engine_kwargs)
+    if spec.engine == "batched":
+        kwargs["retry_policy"] = spec.retry_policy
+        kwargs["fault_plan"] = (
+            None if spec.fault_plan is None
+            else spec.fault_plan.for_chunk(index, start, stop))
         if tracer is not None:
             kwargs["tracer"] = tracer
-            kwargs["trace_parent"] = chunk_span
-    result = simulate(model, t_span, t_eval, sub_batch, engine, options,
-                      **kwargs)
+            kwargs["trace_parent"] = span
+    result = simulate(spec.model, spec.t_span, spec.t_eval,
+                      batch.subset(np.arange(start, stop)), spec.engine,
+                      spec.options, **kwargs)
     report = result.engine_report
-    chunk_quarantine = (report.quarantine if report is not None
-                        else QuarantineLog())
-    return result.raw, chunk_quarantine, report
+    if report is None:
+        return result.raw, QuarantineLog(), None
+    return result.raw, report.quarantine, report.metrics
 
 
 def _check_chunk_shape(chunk_result: BatchSolveResult, n_rows: int,

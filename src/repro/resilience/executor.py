@@ -24,16 +24,16 @@ failed attempt of a chunk:
    marked ``failed`` instead of sinking the campaign.
 
 If the pool collapses outright — no live worker and no restart budget
-— execution degrades to the in-process serial path
-(:func:`~repro.resilience.worker.execute_chunk`, the same code the
-workers run) and the campaign finishes with
-``CampaignResult.degraded=True``.
+— the leftover pieces run on the campaign's own serial loop
+(:meth:`~repro.resilience.campaign.ChunkJournal.run_serial`, calling
+the same chunk function the workers run) and the campaign finishes
+with ``CampaignResult.degraded=True``.
 
 Journal writes are serialized here: workers stream results over a
-queue and only the supervisor touches the
-:class:`~repro.io.checkpoint.CampaignCheckpoint`, so out-of-order
-chunk completion is safe and a supervisor crash loses at most the
-chunks not yet journaled — exactly the serial loop's contract.
+queue and only the supervisor commits them, through the campaign's
+:class:`~repro.resilience.campaign.ChunkJournal` — the exact commit
+path of the serial loop — so out-of-order chunk completion is safe and
+a supervisor crash loses at most the chunks not yet journaled.
 
 Result queues are **per worker generation**, not shared: a process
 that dies (or is terminated) while its queue feeder holds the write
@@ -51,24 +51,22 @@ import queue as queue_module
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import CampaignInterrupted
-from ..gpu.batch_result import (BROKEN, METHOD_DOPRI5, BatchSolveResult,
-                                allocate_result)
+from ..gpu.batch_result import BROKEN, METHOD_DOPRI5, allocate_result
 from ..telemetry import clock
 from ..telemetry.metrics import MetricsRegistry
 from .quarantine import QuarantineLog, WorkerFailure
 from .worker import (MSG_DONE, MSG_FAILED, MSG_HEARTBEAT, MSG_READY,
-                     WorkerSpec, execute_chunk, worker_main)
+                     worker_main)
 
 
-@dataclass(frozen=True, order=True)
-class _Task:
+class _Task(NamedTuple):
     """One executable unit: a chunk, or a split piece of one.
 
-    ``start``/``stop`` are *global* campaign row indices. The dataclass
+    ``start``/``stop`` are *global* campaign row indices. The tuple
     ordering (chunk first, then row range) is the deterministic
     execution order of the degraded serial fallback.
     """
@@ -89,7 +87,7 @@ class _ChunkState:
     """Accumulates the pieces of one chunk until every row is covered."""
 
     __slots__ = ("start", "stop", "buffer", "covered", "quarantine",
-                 "metrics", "has_metrics")
+                 "metrics")
 
     def __init__(self, start: int, stop: int, t_eval: np.ndarray,
                  n_species: int) -> None:
@@ -99,8 +97,7 @@ class _ChunkState:
                                       METHOD_DOPRI5)
         self.covered = 0
         self.quarantine = QuarantineLog()
-        self.metrics = MetricsRegistry()
-        self.has_metrics = False
+        self.metrics = None
 
     @property
     def complete(self) -> bool:
@@ -144,18 +141,9 @@ class _Slot:
 
 @dataclass
 class ExecutorOutcome:
-    """What the sharded run produced, for the campaign loop to merge."""
+    """What the sharded run adds to the campaign's journal fold."""
 
-    executed: int = 0
-    deadline_hit: bool = False
     degraded: bool = False
-    #: True when a cooperative ``cancel_event`` stopped the run; the
-    #: journal keeps everything finalized before the stop.
-    cancelled: bool = False
-    #: chunk index -> quarantine log in chunk-local row space.
-    chunk_quarantines: dict = field(default_factory=dict)
-    #: chunk index -> per-chunk engine metrics (None: engine had none).
-    chunk_metrics: dict = field(default_factory=dict)
     #: supervisor-side counters (restarts, reassignments, splits, ...).
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
 
@@ -172,78 +160,51 @@ def _fork_context():
 class ShardSupervisor:
     """Drives one campaign's chunk fan-out over a worker pool."""
 
-    def __init__(self, spec: WorkerSpec, batch, config, fault_plan,
-                 chunk_indices, checkpoint, merged: BatchSolveResult,
-                 n_species: int, t_eval: np.ndarray, started: float,
-                 completed_before: int, tracer, campaign_span,
-                 chunk_gate=None, cancel_event=None) -> None:
-        self.spec = spec
-        self.batch = batch
-        self.config = config
-        self.fault_plan = fault_plan
-        self.checkpoint = checkpoint
-        self.merged = merged
-        self.n_species = n_species
-        self.t_eval = t_eval
-        self.started = started
-        self.completed_before = completed_before
-        self.tracer = tracer
-        self.campaign_span = campaign_span
-        self.chunk_gate = chunk_gate
-        self.cancel_event = cancel_event
-
+    def __init__(self, journal, tasks) -> None:
+        self.journal = journal
+        self.config = config = journal.config
         self.outcome = ExecutorOutcome()
         self.outcome.metrics.gauge("campaign.executor.workers",
                                    config.workers)
-        self.pending: deque[_Task] = deque()
-        self.attempts: dict[tuple, int] = {}
+        self.pending: deque[_Task] = deque(_Task(*task) for task in tasks)
+        self.attempts: dict[_Task, int] = {}
         self.chunk_states: dict[int, _ChunkState] = {}
-        self.chunk_ranges: dict[int, tuple[int, int]] = {}
-        for index, start, stop in chunk_indices:
-            self.chunk_ranges[index] = (start, stop)
-            self.pending.append(_Task(index, start, stop))
         self.slots = [_Slot(i) for i in range(config.workers)]
         self.restarts_used = 0
         self._context = _fork_context()
         self._tick = max(0.005, min(0.05, config.heartbeat_interval / 2.0))
         self._block_index = 0
         self._lanes_ended = False
-        self._open_spans: dict[tuple, object] = {}
-        self._gate_held: dict[tuple, int] = {}
+        #: task -> open chunk span; each in-flight task also holds a
+        #: chunk-gate grant of its width.
+        self._in_flight: dict[_Task, object] = {}
 
     # -- lifecycle -------------------------------------------------------
 
     def run(self) -> ExecutorOutcome:
+        journal = self.journal
         for slot in self.slots:
-            slot.lane_span = self.tracer.start(
-                f"worker-{slot.index}", "worker", parent=self.campaign_span)
+            slot.lane_span = journal.tracer.start(
+                f"worker-{slot.index}", "worker", parent=journal.span)
             self._spawn(slot)
         try:
             try:
                 self._supervise()
-                if self._work_remaining() and not self.outcome.deadline_hit \
-                        and not self.outcome.cancelled:
+                if self._work_remaining() and not journal.deadline_hit \
+                        and not journal.cancelled:
                     self._degrade()
             except KeyboardInterrupt:
-                raise CampaignInterrupted(
+                raise journal.interrupted(
                     "sharded campaign interrupted; "
-                    f"{self._completed()} chunk(s) already journaled",
-                    checkpoint_path=(None if self.checkpoint is None
-                                     else self.checkpoint.path),
-                    completed_chunks=self._completed()) from None
+                    f"{journal.completed} chunk(s) already journaled") \
+                    from None
         finally:
             self._shutdown()
         return self.outcome
 
     def _supervise(self) -> None:
         while self._work_remaining():
-            if self.cancel_event is not None \
-                    and self.cancel_event.is_set():
-                self.outcome.cancelled = True
-                return
-            self._check_crash()
-            if self._deadline_exceeded():
-                self.outcome.deadline_hit = True
+            if self.journal.should_stop(clock.monotonic()):
                 return
             self._drain_messages()
             self._check_workers()
@@ -255,30 +216,6 @@ class ShardSupervisor:
     def _work_remaining(self) -> bool:
         return bool(self.pending) \
             or any(slot.task is not None for slot in self.slots)
-
-    def _completed(self) -> int:
-        return self.completed_before + self.outcome.executed
-
-    def _check_crash(self) -> None:
-        plan = self.fault_plan
-        if plan is not None and plan.crash_after_launches is not None \
-                and self.outcome.executed >= plan.crash_after_launches:
-            raise CampaignInterrupted(
-                f"injected crash after {self.outcome.executed} sharded "
-                f"chunk(s)",
-                checkpoint_path=(None if self.checkpoint is None
-                                 else self.checkpoint.path),
-                completed_chunks=self._completed())
-
-    def _deadline_exceeded(self) -> bool:
-        config = self.config
-        if config.deadline_seconds is not None and \
-                clock.monotonic() - self.started > config.deadline_seconds:
-            return True
-        plan = self.fault_plan
-        return (plan is not None
-                and plan.deadline_after_chunks is not None
-                and self.outcome.executed >= plan.deadline_after_chunks)
 
     def _pool_collapsed(self) -> bool:
         if any(slot.alive for slot in self.slots):
@@ -296,7 +233,8 @@ class ShardSupervisor:
         token = (slot.index, slot.generation)
         process = self._context.Process(
             target=worker_main,
-            args=(token, self.spec, self.batch, slot.queue, slot.results),
+            args=(token, self.journal.spec, self.journal.batch, slot.queue,
+                  slot.results),
             daemon=True)
         try:
             process.start()
@@ -388,27 +326,26 @@ class ShardSupervisor:
         if not self.pending:
             return
         now = clock.monotonic()
+        journal = self.journal
         remaining = None
         if self.config.deadline_seconds is not None:
             remaining = self.config.deadline_seconds \
-                - (now - self.started)
+                - (now - journal.started)
         for slot in self.slots:
             if not self.pending:
                 return
             if not slot.idle:
                 continue
             task = self.pending[0]
-            key = (task.chunk_index, task.start, task.stop)
-            if self.chunk_gate is not None \
-                    and not self.chunk_gate.try_acquire(task.width):
+            if journal.chunk_gate is not None \
+                    and not journal.chunk_gate.try_acquire(task.width):
                 # Non-blocking on purpose: a blocked acquire here would
                 # starve heartbeat processing; the next supervise tick
                 # retries once the scheduler frees a grant.
                 return
             self.pending.popleft()
-            self._gate_held[key] = task.width
-            attempt = self.attempts.get(key, 0) + 1
-            self.attempts[key] = attempt
+            attempt = self.attempts.get(task, 0) + 1
+            self.attempts[task] = attempt
             slot.task = task
             slot.attempt = attempt
             slot.assigned_at = slot.last_heartbeat = now
@@ -416,32 +353,22 @@ class ShardSupervisor:
                       if b is not None]
             slot.deadline_at = now + min(bounds) if bounds else None
             slot.queue.put(task.message(attempt))
-            chunk_span = self.tracer.start(
-                self._task_span_name(task), "chunk",
+            self._in_flight[task] = journal.tracer.start(
+                journal.span_name(*task), "chunk",
                 parent=slot.lane_span, rows=task.width, attempt=attempt)
-            self._open_spans[key] = chunk_span
 
-    def _task_span_name(self, task: _Task) -> str:
-        start, stop = self.chunk_ranges[task.chunk_index]
-        if task.start == start and task.stop == stop:
-            return f"chunk-{task.chunk_index}"
-        return (f"chunk-{task.chunk_index}"
-                f"[{task.start - start}:{task.stop - start}]")
-
-    def _gate_release(self, key: tuple) -> None:
-        width = self._gate_held.pop(key, None)
-        if width is not None and self.chunk_gate is not None:
-            self.chunk_gate.release(width)
+    def _task_ended(self, task: _Task, outcome: str) -> None:
+        """Return the task's gate grant and close its span."""
+        span = self._in_flight.pop(task)
+        if self.journal.chunk_gate is not None:
+            self.journal.chunk_gate.release(task.width)
+        self.journal.tracer.end(span, outcome=outcome)
 
     def _attempt_failed(self, slot: _Slot, reason: str) -> None:
         task, attempt = slot.task, slot.attempt
         slot.task = None
         slot.deadline_at = None
-        key = (task.chunk_index, task.start, task.stop)
-        self._gate_release(key)
-        span = self._open_spans.pop(key, None)
-        if span is not None:
-            self.tracer.end(span, outcome=reason)
+        self._task_ended(task, reason)
         if attempt >= self.config.max_chunk_attempts:
             if task.width > 1:
                 self._split(task)
@@ -463,11 +390,12 @@ class ShardSupervisor:
     def _quarantine(self, task: _Task, reason: str, attempts: int) -> None:
         state = self._chunk_state(task.chunk_index)
         local = np.arange(task.start - state.start, task.stop - state.start)
+        batch = self.journal.batch
         for offset, row in enumerate(range(task.start, task.stop)):
             state.quarantine.add(WorkerFailure(
                 row=int(local[offset]),
-                rate_constants=self.batch.rate_constants[row].copy(),
-                initial_state=self.batch.initial_states[row].copy(),
+                rate_constants=batch.rate_constants[row].copy(),
+                initial_state=batch.initial_states[row].copy(),
                 reason=reason, worker_attempts=attempts))
         state.buffer.status_codes[local] = BROKEN
         state.covered += task.width
@@ -531,22 +459,23 @@ class ShardSupervisor:
         if kind == MSG_HEARTBEAT:
             slot.last_heartbeat = now
         elif kind == MSG_DONE:
-            task, attempt = slot.task, slot.attempt
+            task = slot.task
             slot.task = None
             slot.deadline_at = None
             slot.chunks_done += 1
-            self._note_slowness(slot, task, now)
-            key = (task.chunk_index, task.start, task.stop)
-            self._gate_release(key)
-            span = self._open_spans.pop(key, None)
-            if span is not None:
-                self.tracer.end(span, outcome="done")
-            self._absorb_piece(task, payload)
+            self._note_slowness(slot, now)
+            self._task_ended(task, "done")
+            # Deserialize the worker's piece at the queue boundary.
+            result, quarantine_dicts, metrics_dict = payload
+            self._absorb_piece(
+                *task, result, QuarantineLog.from_dicts(quarantine_dicts),
+                None if metrics_dict is None
+                else MetricsRegistry.from_dict(metrics_dict))
         elif kind == MSG_FAILED:
             self.outcome.metrics.count("campaign.executor.worker_errors")
             self._attempt_failed(slot, f"worker-error: {payload}")
 
-    def _note_slowness(self, slot: _Slot, task: _Task, now: float) -> None:
+    def _note_slowness(self, slot: _Slot, now: float) -> None:
         threshold = self.config.slow_chunk_seconds
         if threshold is not None and now - slot.assigned_at > threshold:
             self.outcome.metrics.count("campaign.executor.slow_chunks")
@@ -556,87 +485,49 @@ class ShardSupervisor:
     def _chunk_state(self, index: int) -> _ChunkState:
         state = self.chunk_states.get(index)
         if state is None:
-            start, stop = self.chunk_ranges[index]
+            journal = self.journal
             state = self.chunk_states[index] = _ChunkState(
-                start, stop, self.t_eval, self.n_species)
+                *journal.bounds(index), journal.spec.t_eval,
+                journal.spec.model.n_species)
         return state
 
-    def _absorb_piece(self, task: _Task, payload) -> None:
-        result, quarantine_dicts, metrics_dict = payload
-        state = self._chunk_state(task.chunk_index)
-        local = np.arange(task.start - state.start,
-                          task.stop - state.start)
-        state.buffer.merge_rows(result, local)
-        state.covered += task.width
-        if quarantine_dicts:
-            state.quarantine.merge(
-                QuarantineLog.from_dicts(quarantine_dicts),
-                row_offset=task.start - state.start)
-        if metrics_dict is not None:
-            state.metrics.merge(MetricsRegistry.from_dict(metrics_dict))
-            state.has_metrics = True
+    def _absorb_piece(self, index: int, start: int, stop: int, result,
+                      quarantine: QuarantineLog,
+                      metrics: MetricsRegistry | None) -> None:
+        state = self._chunk_state(index)
+        state.buffer.merge_rows(result, np.arange(start - state.start,
+                                                  stop - state.start))
+        state.covered += stop - start
+        state.quarantine.merge(quarantine, row_offset=start - state.start)
+        if metrics is not None:
+            if state.metrics is None:
+                state.metrics = MetricsRegistry()
+            state.metrics.merge(metrics)
         if state.complete:
-            self._finalize_chunk(task.chunk_index)
+            self._finalize_chunk(index)
 
     def _finalize_chunk(self, index: int) -> None:
         state = self.chunk_states.pop(index)
-        if self.checkpoint is not None:
-            shifted = QuarantineLog()
-            shifted.merge(state.quarantine, row_offset=state.start)
-            self.checkpoint.save_chunk(index, state.buffer,
-                                       shifted.to_dicts())
-            if state.has_metrics:
-                self.checkpoint.set_payload(f"metrics-{index}",
-                                            state.metrics.to_dict())
-        # Same transactional alignment as the serial loop: spans flush
-        # only once their chunk is journaled.
-        self.tracer.flush()
-        rows = np.arange(state.start, state.stop)
-        self.merged.merge_rows(state.buffer, rows)
-        self.outcome.chunk_quarantines[index] = state.quarantine
-        self.outcome.chunk_metrics[index] = (state.metrics
-                                             if state.has_metrics else None)
-        self.outcome.executed += 1
+        self.journal.commit(index, state.start, state.stop, state.buffer,
+                            state.quarantine, state.metrics)
 
     # -- degraded serial fallback ----------------------------------------
 
     def _degrade(self) -> None:
-        """The pool is gone: finish the remaining pieces in-process.
+        """The pool is gone: finish the leftover pieces in-process.
 
-        Runs the identical chunk-execution code the workers run
-        (:func:`~repro.resilience.worker.execute_chunk`), in
-        deterministic ``(chunk, row-range)`` order, under the same
-        crash/deadline checks as the serial campaign loop.
+        Hands them, in deterministic ``(chunk, row-range)`` order, to
+        the campaign's serial loop
+        (:meth:`~repro.resilience.campaign.ChunkJournal.run_serial`):
+        the same chunk function the workers run, under the serial
+        loop's stop checks — cancel, wall-clock, injected and predictive
+        deadlines, the post-chunk deadline check and injected crashes.
+        Finished pieces assemble into their chunks like worker results.
         """
         self.outcome.degraded = True
         self.outcome.metrics.count("campaign.executor.degradations")
-        self.pending = deque(sorted(self.pending))
-        while self.pending:
-            if self.cancel_event is not None \
-                    and self.cancel_event.is_set():
-                self.outcome.cancelled = True
-                return
-            self._check_crash()
-            if self._deadline_exceeded():
-                self.outcome.deadline_hit = True
-                return
-            task = self.pending.popleft()
-            if self.chunk_gate is not None and not self.chunk_gate.acquire(
-                    task.width, self.cancel_event):
-                self.outcome.cancelled = True
-                return
-            span = self.tracer.start(self._task_span_name(task), "chunk",
-                                     parent=self.campaign_span,
-                                     rows=task.width, degraded=True)
-            try:
-                payload = execute_chunk(self.spec, self.batch,
-                                        task.chunk_index, task.start,
-                                        task.stop)
-            finally:
-                if self.chunk_gate is not None:
-                    self.chunk_gate.release(task.width)
-            self.tracer.end(span, outcome="done")
-            self._absorb_piece(task, payload)
+        self.journal.run_serial(sorted(self.pending), self._absorb_piece,
+                                degraded=True)
 
     # -- teardown --------------------------------------------------------
 
@@ -663,29 +554,18 @@ class ShardSupervisor:
             self._lanes_ended = True
             for slot in self.slots:
                 if slot.lane_span is not None:
-                    self.tracer.end(slot.lane_span, restarts=slot.restarts,
-                                    chunks=slot.chunks_done)
-        for key, span in list(self._open_spans.items()):
-            # Abandoned in-flight spans (deadline/crash teardown).
-            self.tracer.end(span, outcome="abandoned")
-            del self._open_spans[key]
-        for key in list(self._gate_held):
-            # Grants of abandoned in-flight tasks go back to the
-            # scheduler, or other campaigns starve on our teardown.
-            self._gate_release(key)
+                    self.journal.tracer.end(slot.lane_span,
+                                            restarts=slot.restarts,
+                                            chunks=slot.chunks_done)
+        for task in list(self._in_flight):
+            # Abandoned in-flight tasks (deadline/crash teardown) close
+            # their spans and return their grants to the scheduler, or
+            # other campaigns starve on our teardown.
+            self._task_ended(task, "abandoned")
 
 
-def run_sharded(spec: WorkerSpec, batch, config, fault_plan,
-                chunk_indices, checkpoint, merged: BatchSolveResult,
-                n_species: int, t_eval: np.ndarray, started: float,
-                completed_before: int, tracer, campaign_span,
-                chunk_gate=None, cancel_event=None) -> ExecutorOutcome:
-    """Execute the given ``(index, start, stop)`` chunks on a
-    supervised worker pool; see the module docstring for the ladder."""
-    supervisor = ShardSupervisor(spec, batch, config, fault_plan,
-                                 chunk_indices, checkpoint, merged,
-                                 n_species, t_eval, started,
-                                 completed_before, tracer, campaign_span,
-                                 chunk_gate=chunk_gate,
-                                 cancel_event=cancel_event)
-    return supervisor.run()
+def run_sharded(journal, tasks) -> ExecutorOutcome:
+    """Execute the ``(index, start, stop)`` tasks of a campaign's
+    :class:`~repro.resilience.campaign.ChunkJournal` on a supervised
+    worker pool; see the module docstring for the ladder."""
+    return ShardSupervisor(journal, tasks).run()

@@ -1,7 +1,7 @@
 """Worker entry point of the supervised shard executor.
 
 One worker process executes one campaign chunk (or split piece) at a
-time, exactly the way the serial campaign loop would —
+time through the serial campaign loop's own chunk function —
 :func:`repro.resilience.campaign._run_chunk` on the chunk's row
 subset — so the bytes it produces are indistinguishable from an
 in-process run. What the worker adds is *liveness*: a daemon heartbeat
@@ -59,13 +59,14 @@ _HANG_SLEEP_SECONDS = 3600.0
 
 @dataclass(frozen=True)
 class WorkerSpec:
-    """Everything a worker needs to execute any chunk of one campaign.
+    """Everything needed to execute any chunk of one campaign.
 
-    Shipped once per worker process at spawn time; individual task
-    messages then only carry ``(chunk_index, start, stop, attempt)``.
-    ``engine_kwargs`` must be picklable — the supervisor strips the
-    tracer before building the spec (workers run untraced; the
-    supervisor records per-worker spans from its own clock).
+    The serial loop reads it in-process; the shard executor ships it
+    once per worker process at spawn time, after which individual task
+    messages only carry ``(chunk_index, start, stop, attempt)``.
+    ``engine_kwargs`` must be picklable — the tracer travels beside
+    the spec, never in it (workers run untraced; the supervisor
+    records per-worker spans from its own clock).
     """
 
     model: object
@@ -85,32 +86,10 @@ def _heartbeat_loop(result_queue, token, task, interval: float,
         result_queue.put((MSG_HEARTBEAT, token, task, None))
 
 
-def execute_chunk(spec: WorkerSpec, batch, chunk_index: int, start: int,
-                  stop: int):
-    """Run one chunk's row range exactly like the serial campaign loop.
-
-    Returns ``(BatchSolveResult, quarantine_dicts, metrics_dict)``
-    with the quarantine rows local to the piece and the metrics
-    already serialized. Shared by the worker process and the
-    supervisor's degraded in-process fallback, which is what keeps the
-    two paths bit-identical by construction.
-    """
-    from .campaign import _run_chunk
-
-    rows = np.arange(start, stop)
-    plan = spec.fault_plan
-    chunk_plan = (None if plan is None
-                  else plan.for_chunk(chunk_index, start, stop))
-    result, quarantine, report = _run_chunk(
-        spec.model, batch.subset(rows), spec.t_span, spec.t_eval,
-        spec.engine, spec.options, spec.retry_policy, chunk_plan,
-        spec.engine_kwargs)
-    metrics = None if report is None else report.metrics.to_dict()
-    return result, quarantine.to_dicts(), metrics
-
-
 def _execute_task(spec: WorkerSpec, batch, token, task,
                   result_queue) -> None:
+    from .campaign import _run_chunk
+
     chunk_index, start, stop, attempt = task
     plan = spec.fault_plan
 
@@ -134,7 +113,10 @@ def _execute_task(spec: WorkerSpec, batch, token, task,
     try:
         if plan is not None and plan.slows_worker(chunk_index, attempt):
             time.sleep(plan.worker_slow_seconds)
-        payload = execute_chunk(spec, batch, chunk_index, start, stop)
+        result, quarantine, metrics = _run_chunk(spec, batch, chunk_index,
+                                                 start, stop)
+        payload = (result, quarantine.to_dicts(),
+                   None if metrics is None else metrics.to_dict())
     except Exception as error:  # noqa: BLE001 — forwarded, not dropped
         stop_event.set()
         beat.join()

@@ -15,7 +15,7 @@ from repro.errors import CampaignInterrupted, ResilienceError
 from repro.model import perturbed_batch
 from repro.models import lotka_volterra
 from repro.resilience import (CampaignConfig, FaultPlan, WorkerFailure,
-                              run_campaign)
+                              default_retry_policy, run_campaign)
 from repro.solvers import SolverOptions
 from repro.telemetry import read_trace_jsonl, validate_trace
 
@@ -46,6 +46,17 @@ def serial(lv_model, lv_batch):
                         config=CampaignConfig(chunk_size=3))
 
 
+#: Metric prefixes that describe *how* a run executed (supervision
+#: events, executed vs resumed chunk counts), not what it computed.
+EXECUTION_METRICS = ("campaign.executor.", "campaign.chunks.")
+
+
+def computed_metrics(outcome) -> dict:
+    return {kind: {name: value for name, value in instruments.items()
+                   if not name.startswith(EXECUTION_METRICS)}
+            for kind, instruments in outcome.metrics.to_dict().items()}
+
+
 def assert_bit_identical(outcome, serial):
     reference = serial.result
     result = outcome.result
@@ -53,6 +64,9 @@ def assert_bit_identical(outcome, serial):
     assert result.status_codes.tobytes() == reference.status_codes.tobytes()
     assert result.method_codes.tobytes() == reference.method_codes.tobytes()
     assert result.n_steps.tobytes() == reference.n_steps.tobytes()
+    # the index-ordered fold of per-chunk quarantine and engine metrics
+    assert outcome.quarantine.to_dicts() == serial.quarantine.to_dicts()
+    assert computed_metrics(outcome) == computed_metrics(serial)
 
 
 class TestShardedCleanPath:
@@ -66,6 +80,31 @@ class TestShardedCleanPath:
         assert_bit_identical(outcome, serial)
         assert outcome.metrics.counters["campaign.chunks.executed"] == 4
         assert outcome.metrics.gauges["campaign.executor.workers"] == 2
+
+    def test_quarantine_and_metrics_fold_like_serial(self, lv_model,
+                                                     lv_batch):
+        # A quarantined row and retry-ladder metrics fold identically
+        # whether chunks run serially, on a pool, or on a collapsed
+        # pool's in-process fallback.
+        faults = dict(nan_rows=(4,))
+        kill_all = dict(worker_kill_chunks=(0, 1, 2, 3),
+                        worker_fault_attempts=1000)
+        runs = [
+            (CampaignConfig(chunk_size=3), faults),
+            (CampaignConfig(workers=2, **FAST), faults),
+            (CampaignConfig(workers=2, max_worker_restarts=1,
+                            max_chunk_attempts=100, **FAST),
+             {**faults, **kill_all}),
+        ]
+        reference, sharded, degraded = (
+            run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch, config=config,
+                         retry_policy=default_retry_policy(),
+                         fault_plan=FaultPlan(**plan))
+            for config, plan in runs)
+        assert reference.quarantine.rows().tolist() == [4]
+        assert degraded.degraded
+        assert_bit_identical(sharded, reference)
+        assert_bit_identical(degraded, reference)
 
     def test_single_worker_identical(self, lv_model, lv_batch, serial):
         outcome = run_campaign(
@@ -305,6 +344,38 @@ class TestDegradation:
                                   **FAST))
         assert resumed.resumed_chunks == 4
         assert not resumed.degraded
+
+    @pytest.mark.parametrize("stop", ["deadline", "cancel"])
+    def test_degraded_pool_stops_like_serial(self, lv_model, lv_batch,
+                                             stop):
+        # A collapsed pool's fallback consults the serial loop's stop
+        # check: it halts at the same chunk, leaving the same rows
+        # pending, as a workers=0 run of the same campaign.
+        import threading
+
+        def run(config):
+            cancel = threading.Event()
+            if stop == "cancel":
+                cancel.set()
+            plan = FaultPlan(worker_kill_chunks=(0, 1, 2, 3),
+                             worker_fault_attempts=1000,
+                             deadline_after_chunks=(2 if stop == "deadline"
+                                                    else None))
+            return run_campaign(lv_model, T_SPAN, T_EVAL, lv_batch,
+                                config=config, fault_plan=plan,
+                                cancel_event=cancel)
+
+        reference = run(CampaignConfig(chunk_size=3))
+        outcome = run(CampaignConfig(workers=2, max_worker_restarts=1,
+                                     max_chunk_attempts=100, **FAST))
+        assert outcome.incomplete
+        assert outcome.completed_chunks == reference.completed_chunks
+        assert np.array_equal(outcome.pending_mask, reference.pending_mask)
+        assert outcome.deadline_hit == reference.deadline_hit
+        assert outcome.cancelled == reference.cancelled
+        if stop == "deadline":
+            assert outcome.degraded
+            assert outcome.completed_chunks == 2
 
 
 class AllowThenCancel:
